@@ -207,11 +207,6 @@ class Fcs {
   /// The store queued for the next run (null when none).
   store::ParticleStore* staged_store() const { return staged_store_; }
 
-  /// The reusable exchange schedule of the last method-B run (invalid when
-  /// fusion is off or the last run restored). Exposed for tests and
-  /// benchmarks.
-  const redist::ResortPlan& resort_plan() const { return resort_plan_; }
-
  private:
   friend class ResortBatch;
   mpi::Comm comm_;

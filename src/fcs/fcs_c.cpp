@@ -10,9 +10,9 @@
 struct FCS_s {
   fcs::Fcs impl;
   fcs::RunOptions options;
-  // Per-session error text (see fcs_get_last_error_message): concurrent
-  // sessions on one rank (service mode) must not clobber each other's
-  // message, so each handle keeps its own copy in addition to the
+  // Per-handle error text (see fcs_get_last_error_message): the C API allows
+  // several handles per rank, and one handle's failure must not clobber
+  // another's message, so each handle keeps its own copy in addition to the
   // thread-local fallback used before a handle exists.
   std::string last_error;
 

@@ -158,9 +158,9 @@ class RankCtx {
   /// revocation, so concurrent detectors raise exactly one epoch.
   void revoke();
   /// Scoped revocation: only the listed world ranks are notified, so a
-  /// revoked sub-communicator does not poison disjoint sibling groups
-  /// (service mode runs many gangs on one engine). The caller should be in
-  /// the scope; the idempotency guard is the same as for revoke().
+  /// revoked sub-communicator does not poison disjoint sibling groups. The
+  /// caller should be in the scope; the idempotency guard is the same as
+  /// for revoke().
   void revoke(const std::vector<int>& world_ranks);
   /// A revocation was raised that this rank has not acknowledged yet.
   bool revoked() const;

@@ -299,10 +299,27 @@ TEST(ExchangeProp, DistributionFunctionRunsExactlyOncePerItem) {
 // machinery: the owned copies' origin indices invert into a valid
 // permutation, the zero-communication ResortPlan accepts them, and both the
 // per-field plan resort and the fused batch reproduce the legacy
-// resort_values bytes.
-TEST_P(ExchangeProp, ResortIndicesStayInversePermutationUnderGhosts) {
-  const auto [p, kind, scenario] = GetParam();
-  if (scenario != Scenario::kRandomGhosts) GTEST_SKIP();
+// resort_values bytes. The items carry random owners plus ghost copies, so
+// this suite runs over P x exchange kind only.
+class ResortProp
+    : public ::testing::TestWithParam<std::tuple<int, ExchangeKind>> {};
+
+std::string resort_param_name(
+    const ::testing::TestParamInfo<ResortProp::ParamType>& info) {
+  const auto [p, kind] = info.param;
+  return std::string(kind == ExchangeKind::kDense ? "Dense" : "Sparse") + "P" +
+         std::to_string(p);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomGhosts, ResortProp,
+    ::testing::Combine(::testing::Values(1, 2, 3, 7, 12),
+                       ::testing::Values(ExchangeKind::kDense,
+                                         ExchangeKind::kSparse)),
+    resort_param_name);
+
+TEST_P(ResortProp, ResortIndicesStayInversePermutationUnderGhosts) {
+  const auto [p, kind] = GetParam();
   run_ranks(p, [p = p, kind = kind](mpi::Comm& c) {
     const int r = c.rank();
     const std::size_t n = 30 + 7 * static_cast<std::size_t>(r % 4);

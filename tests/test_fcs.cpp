@@ -327,7 +327,7 @@ TaskRunOut run_staged(const TestSystem& sys, mpi::Comm& c,
   handle.set_accuracy(1e-3);
   if (solver == "pm") {
     // Skinny decompositions (3x1x1, 7x1x1): clamp the cutoff so the ghost
-    // halo fits one subdomain, as the bench/service harnesses do.
+    // halo fits one subdomain, as the bench harnesses do.
     auto& pm_solver = dynamic_cast<pm::PmSolver&>(handle.solver());
     const std::vector<int> dims = mpi::dims_create(c.size(), 3);
     const double min_sub = sys.box.extent().x / dims[0];

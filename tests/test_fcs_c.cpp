@@ -149,7 +149,7 @@ TEST(CApi, ResortWithoutMethodBFails) {
 }
 
 TEST(CApi, ErrorMessagesAreIsolatedPerSession) {
-  // Service mode runs many sessions per rank: one session's failure must
+  // The C API allows several handles per rank: one handle's failure must
   // not clobber another's retrievable message (the ScaFaCoS-style
   // fcs_get_last_error_message contract, as opposed to the thread-local
   // fcs_last_error fallback which always reflects the most recent failure).

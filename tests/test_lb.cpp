@@ -438,8 +438,8 @@ TEST(LbEndToEnd, SameConfigIsByteIdentical) {
 }
 
 TEST(Balancer, SnapshotRestoreRoundTrip) {
-  // The service's warm-state unit: a restored balancer carries the evolved
-  // weight, trigger state, and decomposition plan of the one snapshotted.
+  // The checkpoint unit: a balancer load()ed from another's save() carries
+  // the evolved weight, trigger state, and decomposition plan.
   run_ranks(2, [](mpi::Comm& c) {
     lb::LbConfig cfg;
     cfg.enabled = true;
@@ -448,21 +448,16 @@ TEST(Balancer, SnapshotRestoreRoundTrip) {
     bal.set_splitters({7, 42, 99});
     bal.note_rebalanced();
 
-    const std::vector<std::byte> blob = bal.snapshot();
+    const std::vector<std::byte> blob = fcs_test::save_blob(bal);
     lb::Balancer back(cfg);
-    back.restore(blob);
+    ASSERT_TRUE(fcs_test::load_blob(back, blob));
     EXPECT_DOUBLE_EQ(back.weight(), bal.weight());
     EXPECT_DOUBLE_EQ(back.imbalance(), bal.imbalance());
     EXPECT_EQ(back.should_rebalance(), bal.should_rebalance());
     ASSERT_TRUE(back.has_splitters());
     EXPECT_EQ(back.splitters(), bal.splitters());
-    // Restore -> snapshot is the identity on the byte stream.
-    EXPECT_EQ(back.snapshot(), blob);
-
-    std::vector<std::byte> bad = blob;
-    bad.push_back(std::byte{0});
-    lb::Balancer fresh(cfg);
-    EXPECT_THROW(fresh.restore(bad), fcs::Error);
+    // load -> save is the identity on the byte stream.
+    EXPECT_EQ(fcs_test::save_blob(back), blob);
   });
 }
 
