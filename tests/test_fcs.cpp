@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "fcs/fcs.hpp"
 #include "minimpi/cart.hpp"
@@ -58,16 +59,21 @@ TEST(FcsHandle, UnknownSolverThrows) {
   });
 }
 
-class FcsMethods : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+// The solver name is a std::string, not a const char*: googletest prints a
+// pointer parameter with its address, which would put the load address into
+// the test names and change them on every run.
+class FcsMethods
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 INSTANTIATE_TEST_SUITE_P(
     RanksAndSolvers, FcsMethods,
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
-                       ::testing::Values("pm", "direct")));
+                       ::testing::Values(std::string("pm"),
+                                         std::string("direct"))));
 
 TEST_P(FcsMethods, MethodAKeepsOrderAndMatchesDirect) {
   const auto [p, solver_name] = GetParam();
   const TestSystem sys = make_system(5);
-  run_ranks(p, [&, solver = std::string(solver_name)](mpi::Comm& c) {
+  run_ranks(p, [&, solver = solver_name](mpi::Comm& c) {
     std::vector<Vec3> pos;
     std::vector<double> q;
     deal(sys, c, pos, q);
@@ -106,7 +112,7 @@ TEST_P(FcsMethods, MethodAKeepsOrderAndMatchesDirect) {
 TEST_P(FcsMethods, MethodBReturnsChangedOrderAndResortFollows) {
   const auto [p, solver_name] = GetParam();
   const TestSystem sys = make_system(5);
-  run_ranks(p, [&, solver = std::string(solver_name)](mpi::Comm& c) {
+  run_ranks(p, [&, solver = solver_name](mpi::Comm& c) {
     std::vector<Vec3> pos;
     std::vector<double> q;
     deal(sys, c, pos, q);
