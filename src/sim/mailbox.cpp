@@ -1,151 +1,206 @@
 #include "sim/mailbox.hpp"
 
-#include <iterator>
+#include <utility>
 
 #include "support/error.hpp"
 
 namespace sim {
 
-Mailbox::Mailbox(int nranks)
-    : queues_(static_cast<std::size_t>(nranks)),
-      pending_(static_cast<std::size_t>(nranks), 0) {}
+namespace {
+
+constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+/// Home slot of `src` in a table of mask + 1 slots (Fibonacci hashing, so
+/// strided neighbour ranks spread as well as contiguous ones).
+std::size_t home(int src, std::size_t mask) {
+  return static_cast<std::size_t>(
+             (static_cast<std::uint64_t>(src) * 0x9E3779B97F4A7C15ull) >> 32) &
+         mask;
+}
+
+/// The wildcard order: smallest (arrival, src, seq) first.
+bool earlier(const Message& a, const Message& b) {
+  if (a.arrival != b.arrival) return a.arrival < b.arrival;
+  if (a.src != b.src) return a.src < b.src;
+  return a.seq < b.seq;
+}
+
+}  // namespace
+
+Mailbox::Mailbox(int nranks) : inboxes_(static_cast<std::size_t>(nranks)) {}
+
+std::size_t Mailbox::find_slot(const Inbox& in, int src) {
+  if (in.table.empty()) return npos;
+  const std::size_t mask = in.table.size() - 1;
+  for (std::size_t i = home(src, mask);; i = (i + 1) & mask) {
+    if (in.table[i].src == src) return i;
+    if (in.table[i].src == kAnySource) return npos;
+  }
+}
+
+void Mailbox::insert(Inbox& in, const Source& s) {
+  if (2 * (in.sources + 1) > in.table.size()) {
+    std::vector<Source> old = std::move(in.table);
+    in.table.assign(old.empty() ? kMinTable : 2 * old.size(), Source{});
+    in.sources = 0;
+    for (const Source& o : old)
+      if (o.src != kAnySource) insert(in, o);
+  }
+  const std::size_t mask = in.table.size() - 1;
+  std::size_t i = home(s.src, mask);
+  while (in.table[i].src != kAnySource) i = (i + 1) & mask;
+  in.table[i] = s;
+  ++in.sources;
+}
+
+void Mailbox::erase_slot(Inbox& in, std::size_t hole) {
+  // Backward shift: walk the rest of the probe cluster and move back every
+  // entry whose home slot does not lie cyclically in (hole, j].
+  const std::size_t mask = in.table.size() - 1;
+  for (std::size_t j = (hole + 1) & mask; in.table[j].src != kAnySource;
+       j = (j + 1) & mask) {
+    if (((j - home(in.table[j].src, mask)) & mask) >= ((j - hole) & mask)) {
+      in.table[hole] = in.table[j];
+      hole = j;
+    }
+  }
+  in.table[hole] = Source{};
+  if (--in.sources == 0 && in.table.size() > kMinTable) in.table = {};
+}
+
+std::uint32_t Mailbox::find_in_source(const Source& s, std::int64_t tag,
+                                      std::uint32_t* prev) const {
+  std::uint32_t p = kNil;
+  for (std::uint32_t n = s.head; n != kNil; p = n, n = nodes_[n].next) {
+    if (tag == kAnyTag ||
+        nodes_[n].msg.tag == static_cast<std::uint64_t>(tag)) {
+      *prev = p;
+      return n;
+    }
+  }
+  return kNil;
+}
+
+Message Mailbox::take(Inbox& in, std::size_t slot, std::uint32_t prev,
+                      std::uint32_t node) {
+  Source& s = in.table[slot];
+  const std::uint32_t next = nodes_[node].next;
+  if (prev == kNil) s.head = next; else nodes_[prev].next = next;
+  if (s.tail == node) s.tail = prev;
+  if (s.head == kNil) erase_slot(in, slot);
+  --in.pending;
+  Message out = std::move(nodes_[node].msg);
+  nodes_[node].next = free_;
+  free_ = node;
+  return out;
+}
 
 void Mailbox::deliver(int dst, Message m) {
-  FCS_ASSERT(dst >= 0 && static_cast<std::size_t>(dst) < queues_.size());
-  queues_[static_cast<std::size_t>(dst)][m.src].push_back(std::move(m));
-  ++pending_[static_cast<std::size_t>(dst)];
-}
-
-std::size_t Mailbox::find_in_source(const std::deque<Message>& q,
-                                    std::int64_t tag) {
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    if (tag == kAnyTag || q[i].tag == static_cast<std::uint64_t>(tag))
-      return i;
-  }
-  return npos;
-}
-
-std::optional<Message> Mailbox::try_match(int dst, int src, std::int64_t tag) {
-  auto& by_source = queues_[static_cast<std::size_t>(dst)];
-  SourceQueues::iterator chosen = by_source.end();
-  std::size_t chosen_index = npos;
-  if (src != kAnySource) {
-    auto it = by_source.find(src);
-    if (it == by_source.end()) return std::nullopt;
-    chosen_index = find_in_source(it->second, tag);
-    if (chosen_index == npos) return std::nullopt;
-    chosen = it;
+  FCS_ASSERT(dst >= 0 && static_cast<std::size_t>(dst) < inboxes_.size());
+  FCS_ASSERT(m.src >= 0);
+  std::uint32_t node = free_;
+  if (node != kNil) {
+    free_ = nodes_[node].next;
+    nodes_[node].msg = std::move(m);
+    nodes_[node].next = kNil;
   } else {
-    // Wildcard: among every source's earliest matching message, take the one
-    // with the smallest (arrival, src, seq).
-    for (auto it = by_source.begin(); it != by_source.end(); ++it) {
-      const std::size_t i = find_in_source(it->second, tag);
-      if (i == npos) continue;
-      const Message& m = it->second[i];
-      if (chosen == by_source.end()) {
-        chosen = it;
-        chosen_index = i;
-        continue;
-      }
-      const Message& best = chosen->second[chosen_index];
-      if (m.arrival < best.arrival ||
-          (m.arrival == best.arrival &&
-           (m.src < best.src || (m.src == best.src && m.seq < best.seq)))) {
-        chosen = it;
-        chosen_index = i;
-      }
-    }
-    if (chosen == by_source.end()) return std::nullopt;
+    FCS_CHECK(nodes_.size() < kNil, "mailbox: too many pending messages");
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back(Node{std::move(m), kNil});
   }
-  Message out = std::move(chosen->second[chosen_index]);
-  chosen->second.erase(chosen->second.begin() +
-                       static_cast<std::ptrdiff_t>(chosen_index));
-  if (chosen->second.empty()) by_source.erase(chosen);
-  --pending_[static_cast<std::size_t>(dst)];
-  return out;
+  Inbox& in = inboxes_[static_cast<std::size_t>(dst)];
+  const int src = nodes_[node].msg.src;
+  const std::size_t slot = find_slot(in, src);
+  if (slot == npos) {
+    insert(in, Source{src, node, node});
+  } else {
+    nodes_[in.table[slot].tail].next = node;
+    in.table[slot].tail = node;
+  }
+  ++in.pending;
 }
 
 std::optional<Message> Mailbox::try_match_arrived(int dst, int src,
                                                   std::int64_t tag,
                                                   double now) {
-  auto& by_source = queues_[static_cast<std::size_t>(dst)];
-  SourceQueues::iterator chosen = by_source.end();
-  std::size_t chosen_index = npos;
+  Inbox& in = inboxes_[static_cast<std::size_t>(dst)];
+  std::size_t best_slot = npos;
+  std::uint32_t best = kNil;
+  std::uint32_t best_prev = kNil;
+  auto consider = [&](std::size_t slot) {
+    std::uint32_t prev = kNil;
+    const std::uint32_t n = find_in_source(in.table[slot], tag, &prev);
+    if (n == kNil) return;
+    const Message& m = nodes_[n].msg;
+    if (m.arrival > now) return;  // in flight: this source yields nothing
+    if (best != kNil && !earlier(m, nodes_[best].msg)) return;
+    best_slot = slot;
+    best = n;
+    best_prev = prev;
+  };
   if (src != kAnySource) {
-    auto it = by_source.find(src);
-    if (it == by_source.end()) return std::nullopt;
-    chosen_index = find_in_source(it->second, tag);
-    if (chosen_index == npos) return std::nullopt;
-    if (it->second[chosen_index].arrival > now) return std::nullopt;
-    chosen = it;
+    const std::size_t slot = find_slot(in, src);
+    if (slot != npos) consider(slot);
   } else {
-    for (auto it = by_source.begin(); it != by_source.end(); ++it) {
-      const std::size_t i = find_in_source(it->second, tag);
-      if (i == npos) continue;
-      const Message& m = it->second[i];
-      if (m.arrival > now) continue;  // in flight: this source yields nothing
-      if (chosen == by_source.end()) {
-        chosen = it;
-        chosen_index = i;
-        continue;
-      }
-      const Message& best = chosen->second[chosen_index];
-      if (m.arrival < best.arrival ||
-          (m.arrival == best.arrival &&
-           (m.src < best.src || (m.src == best.src && m.seq < best.seq)))) {
-        chosen = it;
-        chosen_index = i;
-      }
-    }
-    if (chosen == by_source.end()) return std::nullopt;
+    for (std::size_t slot = 0; slot < in.table.size(); ++slot)
+      if (in.table[slot].src != kAnySource) consider(slot);
   }
-  Message out = std::move(chosen->second[chosen_index]);
-  chosen->second.erase(chosen->second.begin() +
-                       static_cast<std::ptrdiff_t>(chosen_index));
-  if (chosen->second.empty()) by_source.erase(chosen);
-  --pending_[static_cast<std::size_t>(dst)];
-  return out;
+  if (best == kNil) return std::nullopt;
+  return take(in, best_slot, best_prev, best);
 }
 
 bool Mailbox::has_match(int dst, int src, std::int64_t tag) const {
-  const auto& by_source = queues_[static_cast<std::size_t>(dst)];
+  const Inbox& in = inboxes_[static_cast<std::size_t>(dst)];
+  std::uint32_t prev = kNil;
   if (src != kAnySource) {
-    auto it = by_source.find(src);
-    return it != by_source.end() && find_in_source(it->second, tag) != npos;
+    const std::size_t slot = find_slot(in, src);
+    return slot != npos && find_in_source(in.table[slot], tag, &prev) != kNil;
   }
-  for (const auto& [s, q] : by_source) {
-    (void)s;
-    if (find_in_source(q, tag) != npos) return true;
-  }
+  for (const Source& s : in.table)
+    if (s.src != kAnySource && find_in_source(s, tag, &prev) != kNil)
+      return true;
   return false;
 }
 
 std::size_t Mailbox::pending_total() const {
   std::size_t n = 0;
-  for (std::size_t p : pending_) n += p;
+  for (const Inbox& in : inboxes_) n += in.pending;
   return n;
 }
 
 std::size_t Mailbox::pending_for(int dst) const {
-  return pending_[static_cast<std::size_t>(dst)];
+  return inboxes_[static_cast<std::size_t>(dst)].pending;
 }
 
 std::size_t Mailbox::purge(int dst,
                            const std::function<bool(const Message&)>& keep) {
-  auto& by_source = queues_[static_cast<std::size_t>(dst)];
+  Inbox& in = inboxes_[static_cast<std::size_t>(dst)];
   std::size_t dropped_bytes = 0;
-  for (auto it = by_source.begin(); it != by_source.end();) {
-    std::deque<Message>& q = it->second;
-    for (std::size_t i = 0; i < q.size();) {
-      if (keep != nullptr && keep(q[i])) {
-        ++i;
-        continue;
+  // Filter every FIFO in place, then re-insert the sources that keep a
+  // message into a fresh table.
+  const std::vector<Source> old = std::move(in.table);
+  in.table = {};
+  in.sources = 0;
+  for (const Source& s : old) {
+    if (s.src == kAnySource) continue;
+    Source kept{s.src, kNil, kNil};
+    for (std::uint32_t n = s.head; n != kNil;) {
+      Node& node = nodes_[n];
+      const std::uint32_t next = node.next;
+      if (keep != nullptr && keep(node.msg)) {
+        if (kept.head == kNil) kept.head = n; else nodes_[kept.tail].next = n;
+        kept.tail = n;
+        node.next = kNil;
+      } else {
+        dropped_bytes += node.msg.payload.size();
+        node.msg = Message{};
+        node.next = free_;
+        free_ = n;
+        --in.pending;
       }
-      dropped_bytes += q[i].payload.size();
-      q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-      --pending_[static_cast<std::size_t>(dst)];
+      n = next;
     }
-    it = q.empty() ? by_source.erase(it) : std::next(it);
+    if (kept.head != kNil) insert(in, kept);
   }
   return dropped_bytes;
 }

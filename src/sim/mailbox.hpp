@@ -4,20 +4,45 @@
 // destination rank's mailbox until a matching receive consumes it. Matching
 // follows MPI semantics: a receive names a (source, tag) pair, either of
 // which may be a wildcard; messages between one (src, dst) pair are
-// non-overtaking (matched in send order); wildcard-source receives pick the
-// matching message with the earliest virtual arrival time.
+// non-overtaking (a named source yields its first tag match in send order);
+// wildcard-source receives pick, among every source's first tag match, the
+// one with the smallest (arrival, src, seq).
 //
-// Storage is a per-destination map keyed by source rank so that matching a
-// named source is O(messages from that source) and wildcard matching is
-// O(active sources) - both stay cheap even with tens of thousands of ranks.
+// Storage. Pending messages live in one node pool per Mailbox: a vector of
+// {Message, next} nodes plus a free list threaded through `next`, so each
+// source's FIFO is a singly linked list of pool indices. Each destination
+// keeps an open-addressing table (linear probing, load <= 1/2) from source
+// rank to the head and tail of that source's FIFO; a source is in the table
+// exactly while it has pending messages. Removing a source shifts the rest of
+// its probe cluster back, so the table never holds tombstones.
+//
+// Cost. deliver is O(1) expected: one table probe and a tail append. A
+// named-source match probes once and walks that source's FIFO to the first
+// tag match (the head, for in-order traffic). A wildcard-source match or
+// has_match scans the destination's table, O(table size) = O(peak active
+// sources since the destination last drained). purge rebuilds the table.
+// No operation allocates per message beyond the payload `send` fills: once
+// the pool has reached its peak, nodes come from the free list, and a table
+// grows by doubling, so filling a destination from k sources costs
+// O(log k) allocations, and a destination that never has more than
+// kMinTable / 2 sources allocates its table once.
+//
+// Memory. The pool never shrinks, so it is bounded by the peak number of
+// pending messages; a freed node holds no payload. When a destination
+// drains, a table larger than kMinTable slots is released, so an idle
+// destination holds O(1) however dense its last exchange was.
+//
+// Determinism. The table's slot order depends on hashing and on insertion
+// history, but no result does: a named source is one FIFO, and the wildcard
+// choice is a total order on (arrival, src, seq) - seq is unique - so every
+// scan order picks the same message.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <limits>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace sim {
@@ -46,7 +71,10 @@ class Mailbox {
 
   /// Remove and return the message matching (src, tag) for rank dst, or
   /// nullopt if none has been delivered yet.
-  std::optional<Message> try_match(int dst, int src, std::int64_t tag);
+  std::optional<Message> try_match(int dst, int src, std::int64_t tag) {
+    return try_match_arrived(dst, src, tag,
+                             std::numeric_limits<double>::infinity());
+  }
 
   /// Like try_match, but only consumes a message whose last byte has ARRIVED
   /// (arrival <= now). Non-overtaking is preserved per source: if the first
@@ -72,18 +100,45 @@ class Mailbox {
   std::uint64_t next_seq() { return seq_counter_++; }
 
  private:
-  using SourceQueues = std::unordered_map<int, std::deque<Message>>;
+  static constexpr std::uint32_t kNil =
+      std::numeric_limits<std::uint32_t>::max();
+  static constexpr std::size_t kMinTable = 8;  // kept across a drain
 
-  /// First message from `q` matching `tag` (per-source queues are already in
-  /// send order, so the first tag match is the legal one). Returns index or
-  /// npos.
-  static std::size_t find_in_source(const std::deque<Message>& q,
-                                    std::int64_t tag);
+  struct Node {
+    Message msg;
+    std::uint32_t next = kNil;  // next in the source's FIFO, or free list
+  };
 
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  /// One table slot: a source with pending messages, or empty (kAnySource).
+  struct Source {
+    int src = kAnySource;
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
 
-  std::vector<SourceQueues> queues_;  // one map per destination rank
-  std::vector<std::size_t> pending_;  // per-destination message count
+  struct Inbox {
+    std::vector<Source> table;  // empty or a power-of-two number of slots
+    std::size_t sources = 0;    // occupied slots
+    std::size_t pending = 0;    // messages
+  };
+
+  static std::size_t find_slot(const Inbox& in, int src);
+  static void insert(Inbox& in, const Source& s);
+  static void erase_slot(Inbox& in, std::size_t slot);
+
+  /// First node of `s`'s FIFO matching `tag` (or kNil); *prev receives its
+  /// predecessor in the FIFO (kNil for the head).
+  std::uint32_t find_in_source(const Source& s, std::int64_t tag,
+                               std::uint32_t* prev) const;
+
+  /// Unlink `node` (after `prev`) from the FIFO in `slot` and return its
+  /// message; drops the source from the table when its FIFO empties.
+  Message take(Inbox& in, std::size_t slot, std::uint32_t prev,
+               std::uint32_t node);
+
+  std::vector<Node> nodes_;  // message pool
+  std::uint32_t free_ = kNil;
+  std::vector<Inbox> inboxes_;  // one per destination rank
   std::uint64_t seq_counter_ = 0;
 };
 

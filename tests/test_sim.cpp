@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -195,6 +201,178 @@ TEST(Engine, ManyRanksSmallStacks) {
     }
   });
   EXPECT_EQ(sum, 2048);
+}
+
+// Naive reference for the mailbox: one flat vector of pending messages in
+// send order, scanned in full by every operation.
+class RefMailbox {
+ public:
+  struct Msg {
+    int dst;
+    int src;
+    std::uint64_t tag;
+    std::uint64_t seq;
+    double arrival;
+    std::size_t bytes;
+  };
+
+  void deliver(int dst, const sim::Message& m) {
+    pending_.push_back({dst, m.src, m.tag, m.seq, m.arrival, m.payload.size()});
+  }
+
+  std::optional<Msg> match(int dst, int src, std::int64_t tag, double now) {
+    std::vector<int> seen;  // sources whose first tag match was visited
+    std::size_t best = pending_.size();
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      const Msg& m = pending_[i];
+      if (!matches(m, dst, src, tag)) continue;
+      if (std::find(seen.begin(), seen.end(), m.src) != seen.end()) continue;
+      seen.push_back(m.src);
+      if (m.arrival > now) continue;  // in flight: blocks its source
+      if (best == pending_.size() ||
+          std::tie(m.arrival, m.src, m.seq) <
+              std::tie(pending_[best].arrival, pending_[best].src,
+                       pending_[best].seq))
+        best = i;
+    }
+    if (best == pending_.size()) return std::nullopt;
+    const Msg out = pending_[best];
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
+    return out;
+  }
+
+  bool has_match(int dst, int src, std::int64_t tag) const {
+    return std::any_of(pending_.begin(), pending_.end(), [&](const Msg& m) {
+      return matches(m, dst, src, tag);
+    });
+  }
+
+  std::size_t purge(int dst, std::int64_t drop_tag) {
+    std::size_t bytes = 0;
+    std::erase_if(pending_, [&](const Msg& m) {
+      if (m.dst != dst) return false;
+      if (drop_tag != sim::kAnyTag &&
+          m.tag != static_cast<std::uint64_t>(drop_tag))
+        return false;
+      bytes += m.bytes;
+      return true;
+    });
+    return bytes;
+  }
+
+  std::size_t pending_for(int dst) const {
+    return static_cast<std::size_t>(std::count_if(
+        pending_.begin(), pending_.end(),
+        [dst](const Msg& m) { return m.dst == dst; }));
+  }
+  std::size_t pending_total() const { return pending_.size(); }
+
+  /// Source of a random pending message for dst, or -1 if there is none.
+  int some_source(int dst, std::mt19937_64& rng) const {
+    std::vector<int> srcs;
+    for (const Msg& m : pending_)
+      if (m.dst == dst) srcs.push_back(m.src);
+    return srcs.empty() ? -1 : srcs[rng() % srcs.size()];
+  }
+
+ private:
+  static bool matches(const Msg& m, int dst, int src, std::int64_t tag) {
+    return m.dst == dst && (src == sim::kAnySource || m.src == src) &&
+           (tag == sim::kAnyTag || m.tag == static_cast<std::uint64_t>(tag));
+  }
+
+  std::vector<Msg> pending_;
+};
+
+std::vector<std::byte> payload_for(std::uint64_t seq) {
+  std::vector<std::byte> p(seq % 7);
+  for (std::size_t k = 0; k < p.size(); ++k)
+    p[k] = static_cast<std::byte>((seq + k) & 0xff);
+  return p;
+}
+
+// Seeded random operation sequences against the reference. Fill phases
+// deliver from up to 200 sources per destination, so the source tables grow
+// several times; drain phases match between deliveries, so sources leave
+// crowded tables. Arrivals sit on a coarse grid, so wildcard ties on arrival
+// (broken by src, then seq) and arrival == now both occur.
+TEST(Mailbox, MatchesNaiveReferenceOnRandomSequences) {
+  constexpr int kRanks = 256;
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  const std::vector<int> dsts = {0, 1, kRanks - 1};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::mt19937_64 rng(seed);
+    sim::Mailbox box(kRanks);
+    RefMailbox ref;
+    auto pick_tag = [&]() -> std::int64_t {
+      if (rng() % 3 == 0) return sim::kAnyTag;
+      return static_cast<std::int64_t>(rng() % 3);
+    };
+    auto pick_src = [&](int dst) {
+      if (rng() % 3 == 0) return sim::kAnySource;
+      const int s = ref.some_source(dst, rng);
+      return s >= 0 && rng() % 4 != 0 ? s : static_cast<int>(rng() % 200);
+    };
+    for (int op = 0; op < 6000; ++op) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " op " << op);
+      const bool fill = (op / 500) % 2 == 0;
+      const int dst = dsts[rng() % dsts.size()];
+      const std::uint64_t kind = rng() % 100;
+      if (kind < (fill ? 70u : 25u)) {
+        sim::Message m;
+        m.src = static_cast<int>(rng() % 200);
+        m.tag = rng() % 3;
+        m.seq = box.next_seq();
+        m.arrival = 0.25 * static_cast<double>(rng() % 8);
+        m.payload = payload_for(m.seq);
+        ref.deliver(dst, m);
+        box.deliver(dst, std::move(m));
+      } else if (kind < 93) {
+        const int src = pick_src(dst);
+        const std::int64_t tag = pick_tag();
+        const bool timed = rng() % 2 == 0;
+        const double now =
+            timed ? 0.25 * static_cast<double>(rng() % 9) - 0.25 : kNever;
+        const auto want = ref.match(dst, src, tag, now);
+        const auto got = timed ? box.try_match_arrived(dst, src, tag, now)
+                               : box.try_match(dst, src, tag);
+        ASSERT_EQ(got.has_value(), want.has_value())
+            << "src " << src << " tag " << tag << " now " << now;
+        if (got.has_value()) {
+          EXPECT_EQ(got->src, want->src);
+          EXPECT_EQ(got->tag, want->tag);
+          ASSERT_EQ(got->seq, want->seq);
+          EXPECT_EQ(got->arrival, want->arrival);
+          EXPECT_EQ(got->payload, payload_for(got->seq));
+        }
+      } else if (kind < 99) {
+        const int src = pick_src(dst);
+        const std::int64_t tag = pick_tag();
+        ASSERT_EQ(box.has_match(dst, src, tag), ref.has_match(dst, src, tag))
+            << "src " << src << " tag " << tag;
+      } else {
+        const std::int64_t drop_tag = rng() % 4 == 0 ? sim::kAnyTag : 1;
+        const auto keep =
+            drop_tag == sim::kAnyTag
+                ? std::function<bool(const sim::Message&)>()
+                : [](const sim::Message& m) { return m.tag != 1; };
+        ASSERT_EQ(box.purge(dst, keep), ref.purge(dst, drop_tag));
+      }
+      for (int d : dsts) ASSERT_EQ(box.pending_for(d), ref.pending_for(d));
+      ASSERT_EQ(box.pending_total(), ref.pending_total());
+    }
+    // Drain everything left, in wildcard order.
+    for (int d : dsts) {
+      while (const auto want =
+                 ref.match(d, sim::kAnySource, sim::kAnyTag, kNever)) {
+        const auto got = box.try_match(d, sim::kAnySource, sim::kAnyTag);
+        ASSERT_TRUE(got.has_value());
+        ASSERT_EQ(got->seq, want->seq);
+      }
+    }
+    EXPECT_EQ(box.pending_total(), 0u);
+    EXPECT_FALSE(box.try_match(0, sim::kAnySource, sim::kAnyTag).has_value());
+  }
 }
 
 TEST(Network, SwitchedIsUniform) {
