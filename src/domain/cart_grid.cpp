@@ -16,81 +16,83 @@ void CartGrid::face_distances(int d, int cell, double t, double& local,
   }
 }
 
-std::vector<CartGrid::GhostImage> CartGrid::ghost_images(const Vec3& p,
-                                                         double halo) const {
+double CartGrid::check_halo(double halo) const {
   const Vec3 sub = min_cell_extent();
-  FCS_CHECK(halo >= 0 && halo <= std::min({sub.x, sub.y, sub.z}),
+  const double narrowest = std::min({sub.x, sub.y, sub.z});
+  FCS_CHECK(halo >= 0 && halo <= narrowest,
             "ghost halo " << halo << " exceeds a subdomain extent");
-  const auto cell = cell_of_position(p);
-  const int owner = rank_of_coords(cell);
+  return narrowest;
+}
 
-  int lo_near[3], hi_near[3];
+void CartGrid::place(const Vec3& p, double halo, Placement& out) const {
+  const Vec3 t = box_.normalized(p);
+
+  // Per axis, the neighbor offsets the halo reaches (-1 below the lower
+  // face, +1 above the upper one), each with its wrapped cell and image
+  // shift. Offsets that leave a non-periodic axis are dropped.
+  struct Step {
+    int off, cell;
+    double shift;
+  };
+  Step steps[3][3]{};
+  int nsteps[3]{};
+  int cell[3]{};
   for (int d = 0; d < 3; ++d) {
-    double local, w;
-    face_distances(d, cell[d], box_.normalized(p)[d], local, w);
-    lo_near[d] = local < halo ? 1 : 0;
-    hi_near[d] = local >= w - halo ? 1 : 0;
+    cell[d] = cell_on_axis(d, t[d]);
+    double local, w;  // local in [0, w)
+    face_distances(d, cell[d], t[d], local, w);
+    const int lo = local < halo ? -1 : 0;
+    const int hi = local >= w - halo ? 1 : 0;
+    for (int off = lo; off <= hi; ++off) {
+      int c = cell[d] + off;
+      double shift = 0.0;
+      if (c < 0 || c >= dims_[d]) {
+        if (!box_.periodic()[d]) continue;
+        // Wrapped below: the image the target sees is above its domain.
+        shift = c < 0 ? box_.extent()[d] : -box_.extent()[d];
+        c = c < 0 ? c + dims_[d] : c - dims_[d];
+      }
+      steps[d][nsteps[d]++] = Step{off, c, shift};
+    }
   }
 
-  std::vector<GhostImage> images;
-  for (int dx = -lo_near[0]; dx <= hi_near[0]; ++dx)
-    for (int dy = -lo_near[1]; dy <= hi_near[1]; ++dy)
-      for (int dz = -lo_near[2]; dz <= hi_near[2]; ++dz) {
-        if (dx == 0 && dy == 0 && dz == 0) continue;
-        const int off[3] = {dx, dy, dz};
-        Vec3 shift{};
-        bool valid = true;
-        for (int d = 0; d < 3; ++d) {
-          const int c = cell[d] + off[d];
-          if (c < 0 || c >= dims_[d]) {
-            if (!box_.periodic()[d]) {
-              valid = false;
-              break;
-            }
-            // Wrapped below: the image the target sees is above its domain.
-            shift[d] = c < 0 ? box_.extent()[d] : -box_.extent()[d];
-          }
-        }
-        if (!valid) continue;
-        const int r = rank_of_coords({cell[0] + dx, cell[1] + dy, cell[2] + dz});
-        FCS_ASSERT(r >= 0);
-        if (r == owner && shift == Vec3{}) continue;  // plain self copy
-        // Deduplicate identical (rank, shift) pairs from different offsets.
-        bool seen = false;
-        for (const GhostImage& g : images)
-          if (g.rank == r && g.shift == shift) seen = true;
-        if (!seen) images.push_back(GhostImage{r, shift});
+  out.owner = (cell[0] * dims_[1] + cell[1]) * dims_[2] + cell[2];
+  // Distinct offsets never repeat a (rank, shift) pair nor give the owner
+  // an unshifted copy: they differ in cell or in shift along some axis.
+  int n = 0;
+  for (int i = 0; i < nsteps[0]; ++i)
+    for (int j = 0; j < nsteps[1]; ++j)
+      for (int k = 0; k < nsteps[2]; ++k) {
+        const Step& x = steps[0][i];
+        const Step& y = steps[1][j];
+        const Step& z = steps[2][k];
+        if (x.off == 0 && y.off == 0 && z.off == 0) continue;
+        out.images[static_cast<std::size_t>(n++)] =
+            GhostImage{(x.cell * dims_[1] + y.cell) * dims_[2] + z.cell,
+                       Vec3{x.shift, y.shift, z.shift}};
       }
-  return images;
+  out.nimages = n;
+}
+
+std::vector<CartGrid::GhostImage> CartGrid::ghost_images(const Vec3& p,
+                                                         double halo) const {
+  check_halo(halo);
+  Placement pl;
+  place(p, halo, pl);
+  return {pl.images.begin(), pl.images.begin() + pl.nimages};
 }
 
 std::vector<int> CartGrid::ghost_targets(const Vec3& p, double halo) const {
-  const Vec3 sub = min_cell_extent();
-  FCS_CHECK(halo >= 0 && halo <= std::min({sub.x, sub.y, sub.z}),
-            "ghost halo " << halo << " exceeds a subdomain extent");
-  const auto cell = cell_of_position(p);
-  const int owner = rank_of_coords(cell);
-
-  // Per axis, determine if p is within `halo` of the lower/upper face.
-  int lo_near[3], hi_near[3];
-  for (int d = 0; d < 3; ++d) {
-    double local, w;  // local in [0, w)
-    face_distances(d, cell[d], box_.normalized(p)[d], local, w);
-    lo_near[d] = local < halo ? 1 : 0;
-    hi_near[d] = local >= w - halo ? 1 : 0;
-  }
-
+  check_halo(halo);
+  Placement pl;
+  place(p, halo, pl);
   std::vector<int> targets;
-  for (int dx = -lo_near[0]; dx <= hi_near[0]; ++dx)
-    for (int dy = -lo_near[1]; dy <= hi_near[1]; ++dy)
-      for (int dz = -lo_near[2]; dz <= hi_near[2]; ++dz) {
-        if (dx == 0 && dy == 0 && dz == 0) continue;
-        const int r =
-            rank_of_coords({cell[0] + dx, cell[1] + dy, cell[2] + dz});
-        if (r >= 0 && r != owner &&
-            std::find(targets.begin(), targets.end(), r) == targets.end())
-          targets.push_back(r);
-      }
+  for (int k = 0; k < pl.nimages; ++k) {
+    const int r = pl.images[static_cast<std::size_t>(k)].rank;
+    if (r != pl.owner &&
+        std::find(targets.begin(), targets.end(), r) == targets.end())
+      targets.push_back(r);
+  }
   return targets;
 }
 

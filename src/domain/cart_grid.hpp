@@ -86,18 +86,8 @@ class CartGrid {
 
   std::array<int, 3> cell_of_position(const Vec3& p) const {
     const Vec3 t = box_.normalized(p);
-    std::array<int, 3> c{};
-    for (int d = 0; d < 3; ++d) {
-      const auto& cuts = cuts_[static_cast<std::size_t>(d)];
-      if (cuts.empty()) {
-        c[d] = static_cast<int>(t[d] * dims_[d]);
-        if (c[d] >= dims_[d]) c[d] = dims_[d] - 1;
-      } else {
-        c[d] = static_cast<int>(
-            std::upper_bound(cuts.begin(), cuts.end(), t[d]) - cuts.begin());
-      }
-    }
-    return c;
+    return {cell_on_axis(0, t[0]), cell_on_axis(1, t[1]),
+            cell_on_axis(2, t[2])};
   }
 
   int rank_of_position(const Vec3& p) const {
@@ -141,12 +131,6 @@ class CartGrid {
     return e;
   }
 
-  /// Ranks (other than the owner) whose subdomain, grown by `halo`, contains
-  /// the position - i.e. the ranks that need a ghost copy of the particle.
-  /// Only ranks within one grid cell of the owner are considered, so `halo`
-  /// must not exceed the smallest cell extent (checked).
-  std::vector<int> ghost_targets(const Vec3& p, double halo) const;
-
   /// One ghost copy the redistribution must create: target rank plus the
   /// periodic image shift to add to the particle position so it sits in the
   /// correct image relative to the target's subdomain.
@@ -155,13 +139,50 @@ class CartGrid {
     Vec3 shift;
   };
 
-  /// All ghost copies of a particle (position must be wrapped into the box).
-  /// Unlike ghost_targets(), each wrapped offset direction produces its own
-  /// image, so a target (including the owner itself, for small grids) can
-  /// legitimately appear multiple times with different shifts.
+  /// A particle has at most one ghost image per neighbor offset.
+  static constexpr int kMaxGhostImages = 26;
+
+  /// Owner rank and ghost images of one particle, filled by place().
+  struct Placement {
+    int owner = -1;
+    int nimages = 0;
+    std::array<GhostImage, kMaxGhostImages> images{};
+  };
+
+  /// Throws fcs::Error unless 0 <= halo <= the narrowest cell side, the
+  /// precondition of place(): only ranks within one grid cell of the owner
+  /// are considered. Returns that narrowest side.
+  double check_halo(double halo) const;
+
+  /// Placement core: the owner rank and all ghost images of a particle,
+  /// derived from one normalization of its position. Images come in
+  /// ascending (dx, dy, dz) neighbor-offset order, one per offset that the
+  /// halo reaches and a non-periodic face does not clip, so a target
+  /// (including the owner itself, for grids of one or two cells along an
+  /// axis) can appear several times with different shifts. Allocates
+  /// nothing and does not check the halo: call check_halo() once per grid.
+  void place(const Vec3& p, double halo, Placement& out) const;
+
+  /// All ghost copies of a particle (position must be wrapped into the box):
+  /// place() with the halo checked, returned as a vector.
   std::vector<GhostImage> ghost_images(const Vec3& p, double halo) const;
 
+  /// Ranks (other than the owner) whose subdomain, grown by `halo`, contains
+  /// the position - the distinct ranks of the ghost images (halo checked).
+  std::vector<int> ghost_targets(const Vec3& p, double halo) const;
+
  private:
+  /// Cell index along axis d of the normalized coordinate t in [0, 1).
+  int cell_on_axis(int d, double t) const {
+    const auto& cuts = cuts_[static_cast<std::size_t>(d)];
+    if (cuts.empty()) {
+      const int c = static_cast<int>(t * dims_[d]);
+      return c >= dims_[d] ? dims_[d] - 1 : c;
+    }
+    return static_cast<int>(std::upper_bound(cuts.begin(), cuts.end(), t) -
+                            cuts.begin());
+  }
+
   /// Distance of the (normalized) position to its cell's faces along axis
   /// d, in box units: sets `local` (offset above the lower face) and `w`
   /// (cell width). Uniform axes keep the original arithmetic bit-for-bit.

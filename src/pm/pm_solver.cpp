@@ -125,26 +125,10 @@ fcs::SolveStage PmSolver::begin_solve(const mpi::Comm& comm,
                             bal->cuts());
   }
 
-  // Expand each particle into its owner copy plus explicit ghost copies
-  // with image-shifted positions. Ghost copies carry the paper's "invalid
-  // index" marker (high bit of the origin index) so the receiver can tell
-  // them apart.
-  constexpr std::uint64_t kGhostBit = 1ULL << 63;
-  struct Copy {
-    PmParticle particle;
-    int target;
-  };
-  std::vector<Copy> copies;
-  copies.reserve(2 * positions.size());
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    const std::uint64_t origin = redist::make_index(comm.rank(), i);
-    copies.push_back(Copy{PmParticle{wrapped[i], charges[i], origin},
-                          grid.rank_of_position(wrapped[i])});
-    for (const auto& img : grid.ghost_images(wrapped[i], halo))
-      copies.push_back(Copy{PmParticle{wrapped[i] + img.shift, charges[i],
-                                       origin | kGhostBit},
-                            img.rank});
-  }
+  // Checked once per grid, before any exchange: a halo wider than the
+  // narrowest cell fails on every rank alike, including ranks that hold no
+  // particles.
+  const double min_ext = grid.check_halo(halo);
 
   // Method B with max movement (paper Sect. III-B): when the input is in
   // solver order and the reported bound plus the ghost halo fits within one
@@ -152,8 +136,6 @@ fcs::SolveStage PmSolver::begin_solve(const mpi::Comm& comm,
   // neighbor, so point-to-point neighborhood communication replaces the
   // collective all-to-all.
   const std::vector<int> neighbors = cart.neighbors(1);
-  const Vec3 sub = grid.min_cell_extent();
-  const double min_ext = std::min({sub.x, sub.y, sub.z});
   const bool bound_claims_safe =
       options.input_in_solver_order && options.max_particle_move >= 0.0 &&
       options.max_particle_move + halo <= min_ext;
@@ -168,19 +150,38 @@ fcs::SolveStage PmSolver::begin_solve(const mpi::Comm& comm,
       options.plan->exchange != plan::Exchange::kAuto)
     want_neighborhood =
         options.plan->exchange == plan::Exchange::kNeighborhood;
-  // Verify the claim against the actual copy targets: a particle that moved
-  // beyond the reported bound may target a non-neighbor rank, and trusting
-  // the bound would strand it. On a violation the step degrades gracefully
-  // to the dense all-to-all (counted as redist.fallback) instead of losing
-  // particles or aborting.
+
+  // Expand each particle into its owner copy plus explicit ghost copies
+  // with image-shifted positions. Ghost copies carry the paper's "invalid
+  // index" marker (high bit of the origin index) so the receiver can tell
+  // them apart. The same pass verifies the neighborhood claim against the
+  // actual copy targets: a particle that moved beyond the reported bound
+  // may target a non-neighbor rank, and trusting the bound would strand it.
+  // On a violation the step degrades gracefully to the dense all-to-all
+  // (counted as redist.fallback) instead of losing particles or aborting.
+  constexpr std::uint64_t kGhostBit = 1ULL << 63;
+  std::vector<PmParticle> plain;
+  std::vector<int> targets;
+  plain.reserve(2 * positions.size());
+  targets.reserve(2 * positions.size());
   bool targets_ok = want_neighborhood;
-  if (targets_ok) {
-    for (const Copy& cp : copies) {
-      if (cp.target != comm.rank() &&
-          !std::binary_search(neighbors.begin(), neighbors.end(), cp.target)) {
-        targets_ok = false;
-        break;
-      }
+  auto add_copy = [&](const PmParticle& particle, int target) {
+    plain.push_back(particle);
+    targets.push_back(target);
+    if (targets_ok && target != comm.rank() &&
+        !std::binary_search(neighbors.begin(), neighbors.end(), target))
+      targets_ok = false;
+  };
+  domain::CartGrid::Placement placed;
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    const std::uint64_t origin = redist::make_index(comm.rank(), i);
+    grid.place(wrapped[i], halo, placed);
+    add_copy(PmParticle{wrapped[i], charges[i], origin}, placed.owner);
+    for (int k = 0; k < placed.nimages; ++k) {
+      const auto& img = placed.images[static_cast<std::size_t>(k)];
+      add_copy(PmParticle{wrapped[i] + img.shift, charges[i],
+                          origin | kGhostBit},
+               img.rank);
     }
   }
   if (want_neighborhood && !targets_ok)
@@ -198,8 +199,7 @@ fcs::SolveStage PmSolver::begin_solve(const mpi::Comm& comm,
   std::vector<PmParticle> received;
   if (neighborhood_ok) {
     std::vector<std::size_t> send_counts(static_cast<std::size_t>(comm.size()), 0);
-    for (const Copy& cp : copies)
-      ++send_counts[static_cast<std::size_t>(cp.target)];
+    for (const int t : targets) ++send_counts[static_cast<std::size_t>(t)];
     std::vector<std::size_t> offsets(send_counts.size() + 1, 0);
     for (std::size_t d = 0; d < send_counts.size(); ++d)
       offsets[d + 1] = offsets[d] + send_counts[d];
@@ -209,8 +209,8 @@ fcs::SolveStage PmSolver::begin_solve(const mpi::Comm& comm,
                              ctx.obs());
     PmParticle* const pk = reinterpret_cast<PmParticle*>(packed.data());
     std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const Copy& cp : copies)
-      pk[cursor[static_cast<std::size_t>(cp.target)]++] = cp.particle;
+    for (std::size_t i = 0; i < plain.size(); ++i)
+      pk[cursor[static_cast<std::size_t>(targets[i])]++] = plain[i];
     std::vector<std::size_t> recv_counts;
     received = redist::neighborhood_alltoallv(comm, neighbors, pk,
                                               send_counts, recv_counts);
@@ -221,22 +221,18 @@ fcs::SolveStage PmSolver::begin_solve(const mpi::Comm& comm,
     // the ghost duplicates again. The stable destination-major slot order
     // matches ExchangePlan's packing, so the received particle sequence is
     // byte-identical to the fine_grained_redistribute branch.
-    std::vector<PmParticle> plain(copies.size());
     std::vector<std::size_t> dest_counts(
         static_cast<std::size_t>(comm.size()), 0);
-    for (const Copy& cp : copies)
-      ++dest_counts[static_cast<std::size_t>(cp.target)];
+    for (const int t : targets) ++dest_counts[static_cast<std::size_t>(t)];
     std::vector<std::size_t> cursor(dest_counts.size() + 1, 0);
     for (std::size_t d = 0; d < dest_counts.size(); ++d)
       cursor[d + 1] = cursor[d] + dest_counts[d];
-    std::vector<std::uint32_t> slot_src(copies.size());
-    std::vector<std::uint32_t> col_src(copies.size());
-    for (std::size_t i = 0; i < copies.size(); ++i) {
-      plain[i] = copies[i].particle;
-      const std::size_t slot =
-          cursor[static_cast<std::size_t>(copies[i].target)]++;
+    std::vector<std::uint32_t> slot_src(plain.size());
+    std::vector<std::uint32_t> col_src(plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      const std::size_t slot = cursor[static_cast<std::size_t>(targets[i])]++;
       slot_src[slot] = static_cast<std::uint32_t>(i);
-      col_src[slot] = redist::index_pos(copies[i].particle.origin);
+      col_src[slot] = redist::index_pos(plain[i].origin);
     }
     std::vector<std::byte> out_items;
     sortlib::carry_exchange(comm, /*sparse=*/false,
@@ -247,12 +243,10 @@ fcs::SolveStage PmSolver::begin_solve(const mpi::Comm& comm,
     received.resize(out_items.size() / sizeof(PmParticle));
     std::memcpy(received.data(), out_items.data(), out_items.size());
   } else {
-    std::vector<PmParticle> plain(copies.size());
-    for (std::size_t i = 0; i < copies.size(); ++i) plain[i] = copies[i].particle;
     received = redist::fine_grained_redistribute(
         comm, plain,
         [&](const PmParticle&, std::size_t i, std::vector<int>& t) {
-          t.push_back(copies[i].target);
+          t.push_back(targets[i]);
         },
         redist::ExchangeKind::kDense);
   }

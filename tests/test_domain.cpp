@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "domain/box.hpp"
 #include "domain/cart_grid.hpp"
@@ -177,6 +181,182 @@ TEST(CartGrid, HaloTooLargeThrows) {
   Box box({0, 0, 0}, {12, 12, 12}, {true, true, true});
   domain::CartGrid grid(box, {3, 3, 3});
   EXPECT_THROW(grid.ghost_targets({6, 6, 6}, 5.0), fcs::Error);
+  EXPECT_THROW(grid.ghost_images({6, 6, 6}, 5.0), fcs::Error);
+  EXPECT_DOUBLE_EQ(grid.check_halo(4.0), 4.0);
+  EXPECT_THROW(grid.check_halo(4.5), fcs::Error);
+  EXPECT_THROW(grid.check_halo(-0.5), fcs::Error);
+}
+
+// The ghost placement as it was computed before the one-pass placement
+// core: owner from its own normalization, face distances from one more per
+// axis, every (dx, dy, dz) offset probed, deduplicated by (rank, shift).
+// `cuts` are the grid's interior cuts (empty per uniform axis).
+struct ReferencePlacement {
+  int owner;
+  std::vector<domain::CartGrid::GhostImage> images;
+  std::vector<int> targets;
+};
+
+ReferencePlacement reference_placement(
+    const domain::CartGrid& grid,
+    const std::array<std::vector<double>, 3>& cuts, const Vec3& p,
+    double halo) {
+  const Box& box = grid.box();
+  const auto& dims = grid.dims();
+  std::array<int, 3> cell{};
+  {
+    const Vec3 t = box.normalized(p);
+    for (int d = 0; d < 3; ++d) {
+      const auto& c = cuts[static_cast<std::size_t>(d)];
+      if (c.empty()) {
+        cell[d] = static_cast<int>(t[d] * dims[d]);
+        if (cell[d] >= dims[d]) cell[d] = dims[d] - 1;
+      } else {
+        cell[d] = static_cast<int>(
+            std::upper_bound(c.begin(), c.end(), t[d]) - c.begin());
+      }
+    }
+  }
+  ReferencePlacement ref;
+  ref.owner = grid.rank_of_coords(cell);
+
+  int lo_near[3], hi_near[3];
+  for (int d = 0; d < 3; ++d) {
+    const double t = box.normalized(p)[d];
+    double local, w;
+    if (cuts[static_cast<std::size_t>(d)].empty()) {
+      w = box.extent()[d] / dims[d];
+      local = t * box.extent()[d] - cell[d] * w;
+    } else {
+      const double b = grid.cell_begin(d, cell[d]);
+      w = (grid.cell_begin(d, cell[d] + 1) - b) * box.extent()[d];
+      local = (t - b) * box.extent()[d];
+    }
+    lo_near[d] = local < halo ? 1 : 0;
+    hi_near[d] = local >= w - halo ? 1 : 0;
+  }
+
+  for (int dx = -lo_near[0]; dx <= hi_near[0]; ++dx)
+    for (int dy = -lo_near[1]; dy <= hi_near[1]; ++dy)
+      for (int dz = -lo_near[2]; dz <= hi_near[2]; ++dz) {
+        if (dx == 0 && dy == 0 && dz == 0) continue;
+        const int off[3] = {dx, dy, dz};
+        const int r = grid.rank_of_coords(
+            {cell[0] + dx, cell[1] + dy, cell[2] + dz});
+        if (r >= 0 && r != ref.owner &&
+            std::find(ref.targets.begin(), ref.targets.end(), r) ==
+                ref.targets.end())
+          ref.targets.push_back(r);
+        Vec3 shift{};
+        bool valid = true;
+        for (int d = 0; d < 3; ++d) {
+          const int c = cell[d] + off[d];
+          if (c < 0 || c >= dims[d]) {
+            if (!box.periodic()[d]) {
+              valid = false;
+              break;
+            }
+            shift[d] = c < 0 ? box.extent()[d] : -box.extent()[d];
+          }
+        }
+        if (!valid) continue;
+        if (r == ref.owner && shift == Vec3{}) continue;
+        bool seen = false;
+        for (const auto& g : ref.images)
+          if (g.rank == r && g.shift == shift) seen = true;
+        if (!seen) ref.images.push_back({r, shift});
+      }
+  return ref;
+}
+
+bool same_bits(const Vec3& a, const Vec3& b) {
+  return std::memcmp(&a, &b, sizeof(Vec3)) == 0;
+}
+
+// Differential sweep: place(), ghost_images() and ghost_targets() must
+// reproduce the reference bit for bit - owner, image order, ranks and
+// shifts - on uniform and load-balanced (cut) grids of 1..4 cells per axis,
+// periodic, non-periodic and mixed axes, halos from 0 to the narrowest cell,
+// and positions on every cell face and box corner plus random interiors.
+TEST(CartGrid, PlacementMatchesReferenceGhostImages) {
+  const Vec3 offset{-1.5, 0.25, 2.0};
+  const Vec3 extent{6.0, 4.5, 9.0};
+  const std::array<std::array<bool, 3>, 3> periodicities{
+      {{true, true, true}, {false, false, false}, {true, false, true}}};
+  const std::array<std::vector<double>, 5> lb_cuts{
+      {{}, {}, {0.3}, {0.2, 0.65}, {0.15, 0.4, 0.8}}};
+  fcs::Rng rng(15);
+  long placements = 0, self_images = 0, clipped = 0;
+  domain::CartGrid::Placement pl;
+  for (const auto& periodic : periodicities)
+    for (const bool cut : {false, true})
+      for (int nx = 1; nx <= 4; ++nx)
+        for (int ny = 1; ny <= 4; ++ny)
+          for (int nz = 1; nz <= 4; ++nz) {
+            const Box box(offset, extent, periodic);
+            const std::array<int, 3> dims{nx, ny, nz};
+            std::array<std::vector<double>, 3> cuts;
+            if (cut)
+              for (int d = 0; d < 3; ++d)
+                cuts[static_cast<std::size_t>(d)] =
+                    lb_cuts[static_cast<std::size_t>(dims[d])];
+            const domain::CartGrid grid(box, dims, cuts);
+
+            // Per axis: every cell face, the box corners, the largest
+            // coordinate inside the box, and two random interior points.
+            std::array<std::vector<double>, 3> coords;
+            for (int d = 0; d < 3; ++d) {
+              auto& cs = coords[static_cast<std::size_t>(d)];
+              for (int c = 0; c <= dims[d]; ++c)
+                cs.push_back(offset[d] + grid.cell_begin(d, c) * extent[d]);
+              cs.push_back(std::nextafter(offset[d] + extent[d], offset[d]));
+              for (int k = 0; k < 2; ++k)
+                cs.push_back(rng.uniform(offset[d], offset[d] + extent[d]));
+            }
+
+            const Vec3 sub = grid.min_cell_extent();
+            const double hmax = std::min({sub.x, sub.y, sub.z});
+            for (const double halo :
+                 {0.0, 0.125 * hmax, 0.5 * hmax, 0.999 * hmax, hmax}) {
+              ASSERT_NO_THROW(grid.check_halo(halo));
+              for (const double x : coords[0])
+                for (const double y : coords[1])
+                  for (const double z : coords[2]) {
+                    const Vec3 p = box.wrap({x, y, z});
+                    const ReferencePlacement ref =
+                        reference_placement(grid, cuts, p, halo);
+                    grid.place(p, halo, pl);
+                    ++placements;
+                    ASSERT_EQ(pl.owner, ref.owner);
+                    ASSERT_EQ(grid.rank_of_position(p), ref.owner);
+                    ASSERT_EQ(pl.nimages,
+                              static_cast<int>(ref.images.size()));
+                    const auto imgs = grid.ghost_images(p, halo);
+                    ASSERT_EQ(imgs.size(), ref.images.size());
+                    for (std::size_t k = 0; k < ref.images.size(); ++k) {
+                      const auto& want = ref.images[k];
+                      const auto& got = pl.images[k];
+                      ASSERT_EQ(got.rank, want.rank) << "image " << k;
+                      ASSERT_TRUE(same_bits(got.shift, want.shift))
+                          << "image " << k;
+                      ASSERT_EQ(imgs[k].rank, want.rank);
+                      ASSERT_TRUE(same_bits(imgs[k].shift, want.shift));
+                      if (want.rank == ref.owner) ++self_images;
+                    }
+                    ASSERT_EQ(grid.ghost_targets(p, halo), ref.targets);
+                    for (int d = 0; d < 3; ++d)
+                      if (!periodic[static_cast<std::size_t>(d)] &&
+                          p[d] == offset[d] && halo > 0)
+                        ++clipped;
+                  }
+            }
+          }
+  // The sweep reached the cases the reference special-cases: owner images
+  // with a periodic shift (one or two cells per axis) and offsets clipped
+  // by non-periodic faces.
+  EXPECT_GT(placements, 100000);
+  EXPECT_GT(self_images, 0);
+  EXPECT_GT(clipped, 0);
 }
 
 // Brute-force oracle for the linked cells.

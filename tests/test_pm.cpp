@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <numbers>
 
@@ -372,6 +373,36 @@ TEST(PmSolverModes, NeighborhoodPathProducesSameResult) {
     for (std::size_t i = 0; i < r1.potentials.size(); ++i)
       EXPECT_NEAR(r1.potentials[i], r2.potentials[i], 1e-9);
   });
+}
+
+TEST(PmSolverModes, OversizedHaloThrowsOnEveryRank) {
+  // Three ranks form a 3x1x1 grid whose cells (8/3 wide) are narrower than
+  // the cutoff halo. The solve must reject the halo on every rank before
+  // any exchange, including rank 2, which holds no particles: a rank that
+  // skipped the check would block in the exchange its peers never enter.
+  const PmOracle oracle = make_pm_oracle(4 * 4 * 4);
+  std::array<int, 3> threw{};
+  run_ranks(3, [&](mpi::Comm& c) {
+    std::vector<Vec3> pos;
+    std::vector<double> q;
+    for (std::size_t i = 0; c.rank() < 2 && i < oracle.pos.size(); ++i) {
+      if (static_cast<int>(i % 2) != c.rank()) continue;
+      pos.push_back(oracle.pos[i]);
+      q.push_back(oracle.q[i]);
+    }
+    pm::PmSolver solver;
+    solver.set_box(oracle.box);
+    solver.set_accuracy(1e-3);
+    solver.set_cutoff(3.0);
+    solver.set_mesh(16);
+    solver.tune(c, pos, q);
+    try {
+      solver.solve(c, pos, q, fcs::SolveOptions{});
+    } catch (const fcs::Error&) {
+      threw[static_cast<std::size_t>(c.rank())] = 1;
+    }
+  });
+  EXPECT_EQ(threw, (std::array<int, 3>{1, 1, 1}));
 }
 
 }  // namespace
