@@ -1,7 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <cstddef>
 #include <sstream>
 
 #include "sim/fiber.hpp"
@@ -54,8 +54,8 @@ void RankCtx::send(int dst, std::uint64_t tag, const void* data,
   m.seq = engine_->mailbox().next_seq();
   m.flow = m.seq;
   m.arrival = clock_ + cfg.network->p2p_time(rank_, dst, bytes);
-  m.payload.resize(bytes);
-  if (bytes > 0) std::memcpy(m.payload.data(), data, bytes);
+  const auto* const first = static_cast<const std::byte*>(data);
+  m.payload.assign(first, first + bytes);
   if (obs_ != nullptr) obs_->flow_send(m.flow, dst, bytes);
   FaultInjector* const fi = engine_->faults();
   if (fi != nullptr && fi->plan().affects_messages() && dst != rank_) {
@@ -97,8 +97,8 @@ double RankCtx::send_async(int dst, std::uint64_t tag, const void* data,
   m.seq = engine_->mailbox().next_seq();
   m.flow = m.seq;
   m.arrival = nic_busy_until_ + cfg.network->p2p_time(rank_, dst, bytes);
-  m.payload.resize(bytes);
-  if (bytes > 0) std::memcpy(m.payload.data(), data, bytes);
+  const auto* const first = static_cast<const std::byte*>(data);
+  m.payload.assign(first, first + bytes);
   if (obs_ != nullptr) obs_->flow_send_at(m.flow, dst, bytes, nic_busy_until_);
   const double done = nic_busy_until_;
   engine_->deliver(dst, std::move(m));

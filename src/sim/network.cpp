@@ -63,13 +63,13 @@ void TorusNetwork::coords_of(int rank, std::vector<int>& coords) const {
 }
 
 int TorusNetwork::hops(int src, int dst) const {
-  std::vector<int> a, b;
-  coords_of(src, a);
-  coords_of(dst, b);
+  // Per-axis coordinates peeled off row-major, as in coords_of.
   int h = 0;
-  for (std::size_t i = 0; i < dims_.size(); ++i) {
-    const int d = std::abs(a[i] - b[i]);
+  for (std::size_t i = dims_.size(); i-- > 0;) {
+    const int d = std::abs(src % dims_[i] - dst % dims_[i]);
     h += std::min(d, dims_[i] - d);  // wraparound links
+    src /= dims_[i];
+    dst /= dims_[i];
   }
   return h;
 }

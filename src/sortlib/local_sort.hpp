@@ -31,19 +31,31 @@ std::vector<T> apply_permutation(const std::vector<T>& items,
   return out;
 }
 
-/// Sort `items` in place by `key(item)`. Uses the radix path for large
-/// inputs and std::sort below the cutoff. Stable for equal keys.
+/// True when the stable radix path of sort_by_key beats a comparison sort
+/// for `n` keys whose bitwise OR is `key_or`. The radix path pays one
+/// counting/scatter pass per non-zero 8-bit digit of key_or (plus a fixed
+/// per-pass table cost); the comparison sort pays ~log2(n) record moves
+/// per element.
+bool radix_sort_pays_off(std::size_t n, std::uint64_t key_or);
+
+/// Sort `items` in place by `key(item)`. Stable for equal keys. Takes the
+/// radix path unless radix_sort_pays_off says a comparison sort is cheaper
+/// (tiny inputs, or few records with many key digits); both paths produce
+/// THE stable order, so the choice never changes the result.
 template <class T, class KeyFn>
 void sort_by_key(std::vector<T>& items, KeyFn key) {
-  constexpr std::size_t kRadixCutoff = 2048;
-  if (items.size() < kRadixCutoff) {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(items.size());
+  std::uint64_t key_or = 0;
+  for (const T& item : items) {
+    keys.push_back(key(item));
+    key_or |= keys.back();
+  }
+  if (!radix_sort_pays_off(items.size(), key_or)) {
     std::stable_sort(items.begin(), items.end(),
                      [&](const T& a, const T& b) { return key(a) < key(b); });
     return;
   }
-  std::vector<std::uint64_t> keys;
-  keys.reserve(items.size());
-  for (const T& item : items) keys.push_back(key(item));
   items = apply_permutation(items, radix_sort_permutation(keys));
 }
 
@@ -51,33 +63,6 @@ template <class T, class KeyFn>
 bool is_sorted_by_key(const std::vector<T>& items, KeyFn key) {
   return std::is_sorted(items.begin(), items.end(),
                         [&](const T& a, const T& b) { return key(a) < key(b); });
-}
-
-/// Merge `runs.size()` consecutive sorted runs (given by their start offsets
-/// plus items.size() as the final bound) into one sorted sequence, in place.
-template <class T, class KeyFn>
-void merge_runs(std::vector<T>& items, std::vector<std::size_t> bounds,
-                KeyFn key) {
-  // bounds = run start offsets; append the end bound, then repeatedly merge
-  // adjacent run pairs until one run remains.
-  bounds.push_back(items.size());
-  auto cmp = [&](const T& a, const T& b) { return key(a) < key(b); };
-  auto it = [&](std::size_t i) {
-    return items.begin() + static_cast<std::ptrdiff_t>(i);
-  };
-  while (bounds.size() > 2) {
-    const std::size_t runs = bounds.size() - 1;
-    std::vector<std::size_t> next;
-    next.push_back(bounds[0]);
-    std::size_t i = 0;
-    for (; i + 2 <= runs; i += 2) {
-      std::inplace_merge(it(bounds[i]), it(bounds[i + 1]), it(bounds[i + 2]),
-                         cmp);
-      next.push_back(bounds[i + 2]);
-    }
-    if (i < runs) next.push_back(bounds[i + 1]);  // odd run carried over
-    bounds = std::move(next);
-  }
 }
 
 }  // namespace sortlib

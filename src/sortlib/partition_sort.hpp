@@ -29,6 +29,24 @@ std::vector<std::size_t> exact_split_boundaries(
     const mpi::Comm& comm, const std::vector<std::uint64_t>& sorted_keys,
     const std::vector<std::uint64_t>& target_prefix);
 
+/// Counting kernel of the splitter searches: counts[j] = number of
+/// sorted_keys <= probes[j] (the std::upper_bound offset), for m probes.
+/// One forward sweep over the keys serves ascending probes: each count
+/// gallops (doubling strides, then a bounded binary search) from the
+/// previous one. A probe below its predecessor restarts the sweep, so the
+/// result is correct for any probe order.
+void count_leq_probes(const std::vector<std::uint64_t>& sorted_keys,
+                      const std::uint64_t* probes, std::size_t m,
+                      std::uint64_t* counts);
+
+/// Per-destination element counts of the partition sort: the exact
+/// splitter segments of this rank's `sorted_keys` for the given per-rank
+/// targets (balanced when null; otherwise one count per rank, summing to
+/// the global element count). Collective; P > 1.
+std::vector<std::size_t> partition_send_counts(
+    const mpi::Comm& comm, const std::vector<std::uint64_t>& sorted_keys,
+    const std::vector<std::uint64_t>* target_counts);
+
 /// Balanced target prefix: rank s receives n_total/P elements with the
 /// remainder spread over the lowest ranks.
 std::vector<std::uint64_t> balanced_target_prefix(std::uint64_t n_total, int p);
@@ -68,48 +86,15 @@ void parallel_sort_partition(
   std::vector<std::uint64_t> keys;
   keys.reserve(items.size());
   for (const T& item : items) keys.push_back(key(item));
-
-  const std::uint64_t n_total =
-      comm.allreduce(static_cast<std::uint64_t>(items.size()), mpi::OpSum{});
-
-  std::vector<std::uint64_t> target_prefix;
-  if (target_counts != nullptr) {
-    FCS_CHECK(static_cast<int>(target_counts->size()) == p,
-              "need one target count per rank");
-    target_prefix.resize(static_cast<std::size_t>(p) - 1);
-    std::uint64_t acc = 0;
-    std::uint64_t total_targets = 0;
-    for (std::uint64_t c : *target_counts) total_targets += c;
-    FCS_CHECK(total_targets == n_total, "target counts must sum to the global "
-                  "element count (" << n_total << "), got " << total_targets);
-    for (int s = 0; s + 1 < p; ++s) {
-      acc += (*target_counts)[static_cast<std::size_t>(s)];
-      target_prefix[static_cast<std::size_t>(s)] = acc;
-    }
-  } else {
-    target_prefix = balanced_target_prefix(n_total, p);
-  }
-
-  const std::vector<std::size_t> bounds =
-      exact_split_boundaries(comm, keys, target_prefix);
-
-  std::vector<std::size_t> send_counts(static_cast<std::size_t>(p));
-  for (int d = 0; d < p; ++d)
-    send_counts[static_cast<std::size_t>(d)] =
-        bounds[static_cast<std::size_t>(d) + 1] - bounds[static_cast<std::size_t>(d)];
+  const std::vector<std::size_t> send_counts =
+      partition_send_counts(comm, keys, target_counts);
 
   std::vector<std::size_t> recv_counts;
   std::vector<T> received = comm.alltoallv(items.data(), send_counts, recv_counts);
 
-  // Each source's block arrives sorted; merge the runs.
-  std::vector<std::size_t> run_starts;
-  std::size_t off = 0;
-  for (std::size_t c : recv_counts) {
-    if (c > 0) run_starts.push_back(off);
-    off += c;
-  }
-  if (run_starts.empty()) run_starts.push_back(0);
-  merge_runs(received, std::move(run_starts), key);
+  // Each source's block arrives sorted; their stable merge is the stable
+  // sort of the concatenation.
+  sort_by_key(received, key);
   items = std::move(received);
 }
 
@@ -146,34 +131,8 @@ void parallel_sort_partition_carry(
     return;
   }
 
-  const std::uint64_t n_total =
-      comm.allreduce(static_cast<std::uint64_t>(items.size()), mpi::OpSum{});
-
-  std::vector<std::uint64_t> target_prefix;
-  if (target_counts != nullptr) {
-    FCS_CHECK(static_cast<int>(target_counts->size()) == p,
-              "need one target count per rank");
-    target_prefix.resize(static_cast<std::size_t>(p) - 1);
-    std::uint64_t acc = 0;
-    std::uint64_t total_targets = 0;
-    for (std::uint64_t c : *target_counts) total_targets += c;
-    FCS_CHECK(total_targets == n_total, "target counts must sum to the global "
-                  "element count (" << n_total << "), got " << total_targets);
-    for (int s = 0; s + 1 < p; ++s) {
-      acc += (*target_counts)[static_cast<std::size_t>(s)];
-      target_prefix[static_cast<std::size_t>(s)] = acc;
-    }
-  } else {
-    target_prefix = balanced_target_prefix(n_total, p);
-  }
-
-  const std::vector<std::size_t> bounds =
-      exact_split_boundaries(comm, keys, target_prefix);
-
-  std::vector<std::size_t> send_counts(static_cast<std::size_t>(p));
-  for (int d = 0; d < p; ++d)
-    send_counts[static_cast<std::size_t>(d)] =
-        bounds[static_cast<std::size_t>(d) + 1] - bounds[static_cast<std::size_t>(d)];
+  const std::vector<std::size_t> send_counts =
+      partition_send_counts(comm, keys, target_counts);
 
   // Items are already contiguous in destination order (sorted, contiguous
   // splitter segments), so the carried exchange ships them identity-packed;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -389,6 +391,66 @@ TEST(Network, TorusHopsAndWraparound) {
   EXPECT_EQ(net.hops(0, 21), 3);  // coords (1,1,1)
   // Neighbor messages are cheaper than far messages.
   EXPECT_LT(net.p2p_time(0, 1, 4096), net.p2p_time(0, 42, 4096));
+}
+
+// Verbatim copy of the torus hop count and p2p time as they were before
+// hops() stopped materializing coordinate vectors.
+struct RefTorus {
+  std::vector<int> dims;
+  double base_latency, hop_latency, byte_time, per_hop_byte_factor;
+
+  void coords_of(int rank, std::vector<int>& coords) const {
+    coords.resize(dims.size());
+    for (std::size_t i = dims.size(); i-- > 0;) {
+      coords[i] = rank % dims[i];
+      rank /= dims[i];
+    }
+  }
+  int hops(int src, int dst) const {
+    std::vector<int> a, b;
+    coords_of(src, a);
+    coords_of(dst, b);
+    int h = 0;
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+      const int d = std::abs(a[i] - b[i]);
+      h += std::min(d, dims[i] - d);
+    }
+    return h;
+  }
+  double p2p_time(int src, int dst, std::size_t bytes) const {
+    if (src == dst) return static_cast<double>(bytes) * byte_time * 0.1;
+    const int h = hops(src, dst);
+    const double byte_cost = static_cast<double>(bytes) * byte_time *
+                             (1.0 + per_hop_byte_factor * std::max(0, h - 1));
+    return base_latency + hop_latency * h + byte_cost;
+  }
+};
+
+std::uint64_t double_bits(double x) {
+  std::uint64_t u;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+TEST(Network, TorusHopsAndTimesMatchReferenceForEveryPair) {
+  for (const std::vector<int>& dims : std::vector<std::vector<int>>{
+           {7}, {16}, {4, 6}, {4, 4, 4}, {8, 8, 16}}) {
+    const RefTorus ref{dims, 0.7e-6, 4.5e-8, 1.0 / 1.8e9, 0.08};
+    const sim::TorusNetwork net(dims, ref.base_latency, ref.hop_latency,
+                                ref.byte_time, ref.per_hop_byte_factor);
+    int nranks = 1;
+    for (int d : dims) nranks *= d;
+    std::size_t mismatches = 0;
+    for (int src = 0; src < nranks; ++src)
+      for (int dst = 0; dst < nranks; ++dst) {
+        if (net.hops(src, dst) != ref.hops(src, dst)) ++mismatches;
+        for (std::size_t bytes : {std::size_t{0}, std::size_t{4096}})
+          if (double_bits(net.p2p_time(src, dst, bytes)) !=
+              double_bits(ref.p2p_time(src, dst, bytes)))
+            ++mismatches;
+      }
+    EXPECT_EQ(mismatches, 0u) << net.name();
+  }
 }
 
 TEST(Network, TorusDenseLatencyMatchesBruteForce) {
