@@ -37,10 +37,14 @@ double run_exchange(int nranks, std::size_t count_per_neighbor, Kind kind,
         case Kind::kSparse:
           (void)comm.sparse_alltoallv(data.data(), counts, rc);
           break;
-        case Kind::kNeighborhood:
+        case Kind::kNeighborhood: {
+          mpi::PartnerList sends;
+          mpi::PartnerList recvs;
+          mpi::partners_from_counts(counts, sends);
           (void)redist::neighborhood_alltoallv(comm, neighbors, data.data(),
-                                               counts, rc);
+                                               sends, recvs);
           break;
+        }
       }
     }
   });

@@ -242,16 +242,15 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
       {
         PhaseScope phase(ctx, task_times, &PhaseTimes::resort, "fcs.resort",
                          /*add_to_total=*/true);
-        resort_indices_ = redist::invert_origin_indices(
-            comm_, stage->partial.origin, n_original,
-            stage->partial.resort_kind);
+        redist::invert_origin_indices(comm_, stage->partial.origin,
+                                      n_original, stage->partial.resort_kind,
+                                      resort_indices_);
         resort_n_original_ = n_original;
         resort_n_changed_ = stage->partial.origin.size();
         resort_kind_ = stage->partial.resort_kind;
         if (redist::fuse_enabled())
-          resort_plan_ = redist::ResortPlan::build(comm_, resort_indices_,
-                                                   stage->partial.origin,
-                                                   stage->partial.resort_kind);
+          resort_plan_.build(comm_, resort_indices_, stage->partial.origin,
+                             stage->partial.resort_kind);
         else
           resort_plan_.reset();
         // Store columns ride the same slabbed batch - unless the solver
@@ -353,17 +352,17 @@ RunResult Fcs::run(std::vector<domain::Vec3>& positions,
     if (!task_resorted) {
       PhaseScope phase(ctx, result.times, &PhaseTimes::resort, "fcs.resort",
                        /*add_to_total=*/true);
-      resort_indices_ = redist::invert_origin_indices(
-          comm_, solved.origin, n_original, solved.resort_kind);
+      redist::invert_origin_indices(comm_, solved.origin, n_original,
+                                    solved.resort_kind, resort_indices_);
       resort_n_original_ = n_original;
       resort_n_changed_ = solved.positions.size();
       resort_kind_ = solved.resort_kind;
-      // The reusable schedule for all subsequent per-field resorts: built
-      // with zero communication from the two index arrays already in hand.
+      // The reusable schedule for all subsequent per-field resorts: rebuilt
+      // in place with zero communication from the two index arrays already
+      // in hand.
       if (redist::fuse_enabled())
-        resort_plan_ = redist::ResortPlan::build(comm_, resort_indices_,
-                                                 solved.origin,
-                                                 solved.resort_kind);
+        resort_plan_.build(comm_, resort_indices_, solved.origin,
+                           solved.resort_kind);
       else
         resort_plan_.reset();
       positions = std::move(solved.positions);

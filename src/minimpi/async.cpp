@@ -3,7 +3,7 @@
 //
 // Every state is a small deterministic step program over the SAME schedule
 // its blocking counterpart runs (binomial trees, direct known-partner
-// exchange, NBX), so the bytes moved, the combine order, and the received
+// exchange), so the bytes moved, the combine order, and the received
 // contents are bit-identical - the only difference is the virtual-time
 // accounting. Sends issue through sim::RankCtx::send_async, which charges
 // the payload copy and fabric injection to the rank's NIC timeline instead
@@ -167,10 +167,10 @@ struct AllreduceState final : AsyncState {
   std::shared_ptr<const void> op;
 };
 
-/// Known-partner exchange (dense or sparse): all sends went to the NIC at
-/// creation; what remains is consuming each expected partner message, in
-/// ascending partner order - the same order the blocking exchange receives
-/// in, so a wait() that has to block advances the clock identically.
+/// Known-partner sparse exchange: all sends went to the NIC at creation;
+/// what remains is consuming each expected partner message, in ascending
+/// partner order - the same order the blocking exchange receives in, so a
+/// wait() that has to block advances the clock identically.
 struct KnownExchangeState final : AsyncState {
   struct Pending {
     int world_src;
@@ -208,82 +208,6 @@ struct KnownExchangeState final : AsyncState {
   std::byte* out = nullptr;
   std::vector<Pending> pending;
   std::size_t next = 0;
-};
-
-/// Sparse NBX with unknown counts: sends went out at creation; progress
-/// drives the dissemination barrier (the termination detector), then drains
-/// every message that reached the mailbox. Sends are eager, so once the
-/// barrier completes every incoming message is present.
-struct NbxExchangeState final : AsyncState {
-  struct BarrierStep {
-    int world_dst;
-    int world_src;
-    std::uint64_t tag;
-  };
-
-  NbxExchangeState(const Comm& c) : AsyncState(c) {}
-
-  bool progress(bool blocking) override {
-    if (done) return true;
-    check_revoked();
-    sim::RankCtx& ctx = comm.ctx();
-    while (pc < barrier.size()) {
-      const BarrierStep& s = barrier[pc];
-      if (!sent_token) {
-        char token = 0;
-        ctx.send_async(s.world_dst, s.tag, &token, 1);
-        sent_token = true;
-      }
-      sim::RankCtx::RecvInfo info;
-      if (blocking) {
-        info = ctx.recv(s.world_src, static_cast<std::int64_t>(s.tag));
-      } else if (!ctx.try_recv(s.world_src, static_cast<std::int64_t>(s.tag),
-                               &info)) {
-        return false;
-      }
-      sent_token = false;
-      ++pc;
-    }
-    // Drain: every partner message is in the mailbox now (eager sends
-    // happened before any rank could finish the barrier); a message whose
-    // last byte is still in flight is consumed at its arrival time.
-    while (ctx.can_recv(sim::kAnySource, static_cast<std::int64_t>(tag))) {
-      sim::RankCtx::RecvInfo info =
-          ctx.recv(sim::kAnySource, static_cast<std::int64_t>(tag));
-      const auto src = static_cast<std::size_t>(comm_rank_of_world(info.src));
-      FCS_CHECK(incoming[src].empty() || self_bytes_nonzero_at(src),
-                "duplicate sparse message from rank " << src);
-      incoming[src] = std::move(info.payload);
-    }
-    // Assemble grouped-by-source output.
-    recv_bytes->assign(incoming.size(), 0);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < incoming.size(); ++i) {
-      (*recv_bytes)[i] = incoming[i].size();
-      total += incoming[i].size();
-    }
-    out->resize(total);
-    std::size_t pos = 0;
-    for (const auto& blk : incoming) {
-      if (!blk.empty()) std::memcpy(out->data() + pos, blk.data(), blk.size());
-      pos += blk.size();
-    }
-    status.bytes = total;
-    done = true;
-    return true;
-  }
-
-  bool self_bytes_nonzero_at(std::size_t src) const {
-    return static_cast<int>(src) == comm.rank();
-  }
-
-  std::uint64_t tag = 0;
-  std::vector<BarrierStep> barrier;
-  std::size_t pc = 0;
-  bool sent_token = false;
-  std::vector<std::vector<std::byte>> incoming;
-  std::vector<std::size_t>* recv_bytes = nullptr;
-  std::vector<std::byte>* out = nullptr;
 };
 
 const std::byte* as_bytes(const void* p) {
@@ -404,100 +328,19 @@ Request Comm::iallreduce_bytes(const void* in, void* out, std::size_t count,
   return rq;
 }
 
-namespace {
-
-// Shared scaffolding of the known-size async exchanges: self-block copy,
-// async sends to every non-empty partner, pending-receive list in ascending
-// partner order.
-std::shared_ptr<mpi::detail::KnownExchangeState> make_known_state(
-    const Comm& comm, sim::RankCtx& ctx, const void* in,
-    const std::vector<std::size_t>& send_bytes,
-    const std::vector<std::size_t>& recv_bytes, void* out,
-    std::uint64_t tag) {
-  const int p = comm.size();
-  const int r = comm.rank();
-  std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);
-  std::vector<std::size_t> recv_offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int i = 0; i < p; ++i) {
-    send_offsets[static_cast<std::size_t>(i) + 1] =
-        send_offsets[static_cast<std::size_t>(i)] +
-        send_bytes[static_cast<std::size_t>(i)];
-    recv_offsets[static_cast<std::size_t>(i) + 1] =
-        recv_offsets[static_cast<std::size_t>(i)] +
-        recv_bytes[static_cast<std::size_t>(i)];
-  }
-  FCS_CHECK(send_bytes[static_cast<std::size_t>(r)] ==
-                recv_bytes[static_cast<std::size_t>(r)],
-            "async exchange: self send/recv size mismatch");
-  auto st = std::make_shared<mpi::detail::KnownExchangeState>(comm);
-  st->tag = tag;
-  st->out = static_cast<std::byte*>(out);
-  if (send_bytes[static_cast<std::size_t>(r)] > 0)
-    std::memcpy(st->out + recv_offsets[static_cast<std::size_t>(r)],
-                mpi::detail::as_bytes(in) +
-                    send_offsets[static_cast<std::size_t>(r)],
-                send_bytes[static_cast<std::size_t>(r)]);
-  for (int i = 0; i < p; ++i) {
-    if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    ctx.send_async(comm.world_rank(i), tag,
-                   mpi::detail::as_bytes(in) +
-                       send_offsets[static_cast<std::size_t>(i)],
-                   send_bytes[static_cast<std::size_t>(i)]);
-  }
-  for (int i = 0; i < p; ++i) {
-    if (i == r || recv_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    st->pending.push_back(mpi::detail::KnownExchangeState::Pending{
-        comm.world_rank(i), recv_bytes[static_cast<std::size_t>(i)],
-        recv_offsets[static_cast<std::size_t>(i)]});
-  }
-  if (st->pending.empty()) st->done = true;
-  return st;
-}
-
-}  // namespace
-
-Request Comm::ialltoallv_bytes_known(const void* in,
-                                     const std::vector<std::size_t>& send_bytes,
-                                     const std::vector<std::size_t>& recv_bytes,
-                                     void* out) const {
-  const int p = size();
+Request Comm::isparse_alltoallv_bytes_known(const void* in,
+                                            const PartnerList& sends,
+                                            const PartnerList& recvs,
+                                            void* out) const {
   const int r = rank();
-  FCS_CHECK(static_cast<int>(send_bytes.size()) == p &&
-                static_cast<int>(recv_bytes.size()) == p,
-            "ialltoallv_known needs one send and one recv size per rank");
-  const std::uint64_t tag = next_collective_tag(kOpAlltoallv);
-  // Same analytic dense-fabric charge as the blocking path, but occupying
-  // the NIC: the CPU is free to compute while the fabric does the bisection
-  // work.
-  std::size_t total_send = 0;
-  for (int i = 0; i < p; ++i)
-    if (i != r) total_send += send_bytes[static_cast<std::size_t>(i)];
-  if (obs::RankObs* const o = ctx_->obs(); o != nullptr) {
-    o->add("mpi.ialltoallv_known.calls", 1.0);
-    o->add("mpi.ialltoallv_known.bytes", static_cast<double>(total_send));
-  }
-  ctx_->charge_nic(
-      ctx_->config().network->dense_exchange_latency(ctx_->rank(), p) +
-      static_cast<double>(total_send) *
-          ctx_->config().network->dense_exchange_byte_time(p));
-  return Request(
-      make_known_state(*this, *ctx_, in, send_bytes, recv_bytes, out, tag));
-}
-
-Request Comm::isparse_alltoallv_bytes_known(
-    const void* in, const std::vector<std::size_t>& send_bytes,
-    const std::vector<std::size_t>& recv_bytes, void* out) const {
-  const int p = size();
-  const int r = rank();
-  FCS_CHECK(static_cast<int>(send_bytes.size()) == p &&
-                static_cast<int>(recv_bytes.size()) == p,
-            "isparse_alltoallv_known needs one send and one recv size per rank");
+  detail::check_partners(sends, size(), "isparse_alltoallv_known");
+  detail::check_partners(recvs, size(), "isparse_alltoallv_known");
   if (obs::RankObs* const o = ctx_->obs(); o != nullptr) {
     double moved = 0.0;
     double partners = 0.0;
-    for (int i = 0; i < p; ++i) {
-      if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-      moved += static_cast<double>(send_bytes[static_cast<std::size_t>(i)]);
+    for (const Partner& s : sends) {
+      if (s.rank == r || s.count == 0) continue;
+      moved += static_cast<double>(s.count);
       partners += 1.0;
     }
     o->add("mpi.isparse_alltoallv_known.calls", 1.0);
@@ -505,85 +348,25 @@ Request Comm::isparse_alltoallv_bytes_known(
     o->add("mpi.isparse_alltoallv_known.partners", partners);
   }
   const std::uint64_t tag = next_collective_tag(kOpSparse);
-  return Request(
-      make_known_state(*this, *ctx_, in, send_bytes, recv_bytes, out, tag));
-}
 
-Request Comm::ialltoallv_bytes(const void* in,
-                               const std::vector<std::size_t>& send_bytes,
-                               std::vector<std::size_t>* recv_bytes,
-                               std::vector<std::byte>* out) const {
-  const int p = size();
-  FCS_CHECK(static_cast<int>(send_bytes.size()) == p,
-            "ialltoallv needs one send size per rank");
-  FCS_CHECK(recv_bytes != nullptr && out != nullptr,
-            "ialltoallv needs output holders");
-  obs::count(ctx_->obs(), "mpi.ialltoallv.calls", 1.0);
-  // The counts transpose is a dependency of the receive layout; run it
-  // synchronously (it is tiny), then hand the data phase to the NIC.
-  std::vector<std::uint64_t> send_counts(send_bytes.begin(), send_bytes.end());
-  std::vector<std::uint64_t> recv_counts(static_cast<std::size_t>(p));
-  alltoall(send_counts.data(), 1, recv_counts.data());
-  recv_bytes->assign(recv_counts.begin(), recv_counts.end());
-  std::size_t total = 0;
-  for (std::size_t b : *recv_bytes) total += b;
-  out->resize(total);
-  return ialltoallv_bytes_known(in, send_bytes, *recv_bytes, out->data());
-}
-
-Request Comm::isparse_alltoallv_bytes(const void* in,
-                                      const std::vector<std::size_t>& send_bytes,
-                                      std::vector<std::size_t>* recv_bytes,
-                                      std::vector<std::byte>* out) const {
-  const int p = size();
-  const int r = rank();
-  FCS_CHECK(static_cast<int>(send_bytes.size()) == p,
-            "isparse_alltoallv needs one send size per rank");
-  FCS_CHECK(recv_bytes != nullptr && out != nullptr,
-            "isparse_alltoallv needs output holders");
-  if (obs::RankObs* const o = ctx_->obs(); o != nullptr) {
-    double moved = 0.0;
-    for (int i = 0; i < p; ++i)
-      if (i != r) moved += static_cast<double>(send_bytes[static_cast<std::size_t>(i)]);
-    o->add("mpi.isparse_alltoallv.calls", 1.0);
-    o->add("mpi.isparse_alltoallv.bytes", moved);
-  }
-  const std::uint64_t tag = next_collective_tag(kOpSparse);
-  const std::uint64_t barrier_tag = next_collective_tag(kOpBarrier);
-
-  auto st = std::make_shared<detail::NbxExchangeState>(*this);
+  // Self block, async sends to every non-empty partner, then the pending
+  // receives in ascending partner order.
+  auto st = std::make_shared<detail::KnownExchangeState>(*this);
   st->tag = tag;
-  st->recv_bytes = recv_bytes;
-  st->out = out;
-  st->incoming.resize(static_cast<std::size_t>(p));
-
-  std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int i = 0; i < p; ++i)
-    send_offsets[static_cast<std::size_t>(i) + 1] =
-        send_offsets[static_cast<std::size_t>(i)] +
-        send_bytes[static_cast<std::size_t>(i)];
-  if (send_bytes[static_cast<std::size_t>(r)] > 0)
-    st->incoming[static_cast<std::size_t>(r)].assign(
-        detail::as_bytes(in) + send_offsets[static_cast<std::size_t>(r)],
-        detail::as_bytes(in) + send_offsets[static_cast<std::size_t>(r) + 1]);
-  for (int i = 0; i < p; ++i) {
-    if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    ctx_->send_async(world_rank(i), tag,
-                     detail::as_bytes(in) +
-                         send_offsets[static_cast<std::size_t>(i)],
-                     send_bytes[static_cast<std::size_t>(i)]);
+  st->out = static_cast<std::byte*>(out);
+  detail::copy_self_block(in, sends, recvs, out, r, "async exchange");
+  for (const Partner& s : sends) {
+    if (s.rank == r || s.count == 0) continue;
+    ctx_->send_async(world_rank(s.rank), tag, detail::as_bytes(in) + s.offset,
+                     s.count);
   }
-  int round = 0;
-  for (int k = 1; k < p; k <<= 1, ++round) {
-    const int dst = (r + k) % p;
-    const int src = (r - k + p) % p;
-    st->barrier.push_back(detail::NbxExchangeState::BarrierStep{
-        world_rank(dst), world_rank(src), with_round(barrier_tag, round)});
+  for (const Partner& e : recvs) {
+    if (e.rank == r || e.count == 0) continue;
+    st->pending.push_back(detail::KnownExchangeState::Pending{
+        world_rank(e.rank), e.count, e.offset});
   }
-
-  Request rq(st);
-  st->progress(/*blocking=*/false);  // p == 1 completes immediately
-  return rq;
+  if (st->pending.empty()) st->done = true;
+  return Request(std::move(st));
 }
 
 }  // namespace mpi

@@ -5,9 +5,11 @@
 // across MD steps. Allocating them fresh each step is pure overhead, so each
 // communicator keeps a small free list of byte buffers: acquire() hands out
 // the best-fitting retained buffer and only touches the heap when no retained
-// buffer is large enough. After a warm-up step the exchange path therefore
-// performs zero heap allocations ("pool.alloc" stops growing - the
+// buffer is large enough. After a warm-up step the staging buffers
+// therefore cost no heap allocation ("pool.alloc" stops growing - the
 // allocation-regression test in tests/test_exchange_prop.cpp asserts this).
+// The payload copy the engine makes per message and the vectors an exchange
+// returns are still allocated per call.
 //
 // Sizing knobs (read once per pool, i.e. per communicator group):
 //   FCS_POOL_MAX_BUFFERS - retained buffers per pool (default 16)

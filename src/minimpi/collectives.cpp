@@ -20,6 +20,29 @@ std::byte* as_bytes(void* p) { return static_cast<std::byte*>(p); }
 
 }  // namespace
 
+namespace detail {
+
+void copy_self_block(const void* in, const PartnerList& sends,
+                     const PartnerList& recvs, void* out, int self,
+                     const char* op) {
+  const auto find = [self](const PartnerList& list) -> const Partner* {
+    const auto it = std::lower_bound(
+        list.begin(), list.end(), self,
+        [](const Partner& e, int rank) { return e.rank < rank; });
+    return it != list.end() && it->rank == self && it->count > 0 ? &*it
+                                                                 : nullptr;
+  };
+  const Partner* const s = find(sends);
+  const Partner* const d = find(recvs);
+  FCS_CHECK((s == nullptr ? 0 : s->count) == (d == nullptr ? 0 : d->count),
+            op << ": self send/recv size mismatch");
+  if (s != nullptr)
+    std::memcpy(static_cast<std::byte*>(out) + d->offset,
+                static_cast<const std::byte*>(in) + s->offset, s->count);
+}
+
+}  // namespace detail
+
 void Comm::barrier() const {
   // Dissemination barrier: ceil(log2 p) rounds, rank r signals r + 2^k.
   obs::Span span(ctx_->obs(), "mpi.barrier");
@@ -455,21 +478,20 @@ void Comm::alltoallv_bytes_known(const void* in,
   }
 }
 
-void Comm::sparse_alltoallv_bytes_known(
-    const void* in, const std::vector<std::size_t>& send_bytes,
-    const std::vector<std::size_t>& recv_bytes, void* out) const {
+void Comm::sparse_alltoallv_bytes_known(const void* in,
+                                        const PartnerList& sends,
+                                        const PartnerList& recvs,
+                                        void* out) const {
   obs::Span span(ctx_->obs(), "mpi.sparse_alltoallv_known");
-  const int p = size();
   const int r = rank();
-  FCS_CHECK(static_cast<int>(send_bytes.size()) == p &&
-                static_cast<int>(recv_bytes.size()) == p,
-            "sparse_alltoallv_known needs one send and one recv size per rank");
+  detail::check_partners(sends, size(), "sparse_alltoallv_known");
+  detail::check_partners(recvs, size(), "sparse_alltoallv_known");
   if (obs::RankObs* const o = ctx_->obs(); o != nullptr) {
     double moved = 0.0;
     double partners = 0.0;
-    for (int i = 0; i < p; ++i) {
-      if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-      moved += static_cast<double>(send_bytes[static_cast<std::size_t>(i)]);
+    for (const Partner& s : sends) {
+      if (s.rank == r || s.count == 0) continue;
+      moved += static_cast<double>(s.count);
       partners += 1.0;
     }
     o->add("mpi.sparse_alltoallv_known.calls", 1.0);
@@ -477,56 +499,52 @@ void Comm::sparse_alltoallv_bytes_known(
     o->add("mpi.sparse_alltoallv_known.partners", partners);
   }
   const std::uint64_t tag = next_collective_tag(kOpSparse);
-
-  std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);
-  std::vector<std::size_t> recv_offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int i = 0; i < p; ++i) {
-    send_offsets[static_cast<std::size_t>(i) + 1] =
-        send_offsets[static_cast<std::size_t>(i)] + send_bytes[static_cast<std::size_t>(i)];
-    recv_offsets[static_cast<std::size_t>(i) + 1] =
-        recv_offsets[static_cast<std::size_t>(i)] + recv_bytes[static_cast<std::size_t>(i)];
-  }
-  FCS_CHECK(send_bytes[static_cast<std::size_t>(r)] ==
-                recv_bytes[static_cast<std::size_t>(r)],
-            "sparse_alltoallv_known: self send/recv size mismatch");
-  if (send_bytes[static_cast<std::size_t>(r)] > 0)
-    std::memcpy(as_bytes(out) + recv_offsets[static_cast<std::size_t>(r)],
-                as_bytes(in) + send_offsets[static_cast<std::size_t>(r)],
-                send_bytes[static_cast<std::size_t>(r)]);
+  detail::copy_self_block(in, sends, recvs, out, r, "sparse_alltoallv_known");
 
   // Both partner sets are known from the plan, so no NBX barrier is needed:
   // sends are eager, and each expected message is received directly.
-  for (int i = 0; i < p; ++i) {
-    if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    ctx_->send(world_rank(i), tag,
-               as_bytes(in) + send_offsets[static_cast<std::size_t>(i)],
-               send_bytes[static_cast<std::size_t>(i)]);
+  for (const Partner& s : sends) {
+    if (s.rank == r || s.count == 0) continue;
+    ctx_->send(world_rank(s.rank), tag, as_bytes(in) + s.offset, s.count);
   }
-  for (int i = 0; i < p; ++i) {
-    if (i == r || recv_bytes[static_cast<std::size_t>(i)] == 0) continue;
+  for (const Partner& e : recvs) {
+    if (e.rank == r || e.count == 0) continue;
     sim::RankCtx::RecvInfo info =
-        ctx_->recv(world_rank(i), static_cast<std::int64_t>(tag));
-    FCS_CHECK(info.payload.size() == recv_bytes[static_cast<std::size_t>(i)],
-              "sparse_alltoallv_known data size mismatch from rank " << i);
-    std::memcpy(as_bytes(out) + recv_offsets[static_cast<std::size_t>(i)],
-                info.payload.data(), info.payload.size());
+        ctx_->recv(world_rank(e.rank), static_cast<std::int64_t>(tag));
+    FCS_CHECK(info.payload.size() == e.count,
+              "sparse_alltoallv_known data size mismatch from rank "
+                  << e.rank);
+    std::memcpy(as_bytes(out) + e.offset, info.payload.data(),
+                info.payload.size());
   }
 }
 
 std::vector<std::byte> Comm::sparse_alltoallv_bytes(
     const void* in, const std::vector<std::size_t>& send_bytes,
     std::vector<std::size_t>& recv_bytes) const {
-  obs::Span span(ctx_->obs(), "mpi.sparse_alltoallv");
-  const int p = size();
-  const int r = rank();
-  FCS_CHECK(static_cast<int>(send_bytes.size()) == p,
+  FCS_CHECK(static_cast<int>(send_bytes.size()) == size(),
             "sparse_alltoallv needs one send size per rank");
+  PartnerList sends;
+  PartnerList recvs;
+  std::vector<std::byte> out;
+  partners_from_counts(send_bytes, sends);
+  sparse_alltoallv_bytes(in, sends, recvs, out);
+  counts_from_partners(recvs, size(), recv_bytes);
+  return out;
+}
+
+void Comm::sparse_alltoallv_bytes(const void* in, const PartnerList& sends,
+                                  PartnerList& recvs,
+                                  std::vector<std::byte>& out) const {
+  obs::Span span(ctx_->obs(), "mpi.sparse_alltoallv");
+  const int r = rank();
+  detail::check_partners(sends, size(), "sparse_alltoallv");
   if (obs::RankObs* const o = ctx_->obs(); o != nullptr) {
     double moved = 0.0;
     double partners = 0.0;
-    for (int i = 0; i < p; ++i) {
-      if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-      moved += static_cast<double>(send_bytes[static_cast<std::size_t>(i)]);
+    for (const Partner& s : sends) {
+      if (s.rank == r || s.count == 0) continue;
+      moved += static_cast<double>(s.count);
       partners += 1.0;
     }
     o->add("mpi.sparse_alltoallv.calls", 1.0);
@@ -535,50 +553,58 @@ std::vector<std::byte> Comm::sparse_alltoallv_bytes(
   }
   const std::uint64_t tag = next_collective_tag(kOpSparse);
 
-  std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int i = 0; i < p; ++i)
-    send_offsets[static_cast<std::size_t>(i) + 1] =
-        send_offsets[static_cast<std::size_t>(i)] + send_bytes[static_cast<std::size_t>(i)];
-
-  recv_bytes.assign(static_cast<std::size_t>(p), 0);
-  std::vector<std::vector<std::byte>> incoming(static_cast<std::size_t>(p));
-  if (send_bytes[static_cast<std::size_t>(r)] > 0) {
-    incoming[static_cast<std::size_t>(r)].assign(
-        as_bytes(in) + send_offsets[static_cast<std::size_t>(r)],
-        as_bytes(in) + send_offsets[static_cast<std::size_t>(r) + 1]);
-    recv_bytes[static_cast<std::size_t>(r)] = send_bytes[static_cast<std::size_t>(r)];
-  }
-
   // NBX-style: post all non-empty sends, synchronize, then drain. Sends are
   // eager in this engine, so after the barrier every incoming message is
   // already in the mailbox.
-  for (int i = 0; i < p; ++i) {
-    if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    ctx_->send(world_rank(i), tag,
-               as_bytes(in) + send_offsets[static_cast<std::size_t>(i)],
-               send_bytes[static_cast<std::size_t>(i)]);
+  const Partner* self = nullptr;
+  for (const Partner& s : sends) {
+    if (s.count == 0) continue;
+    if (s.rank == r) {
+      self = &s;
+      continue;
+    }
+    ctx_->send(world_rank(s.rank), tag, as_bytes(in) + s.offset, s.count);
   }
   barrier();
+  struct Arrival {
+    int rank;
+    std::vector<std::byte> payload;
+  };
+  std::vector<Arrival> arrived;
   while (ctx_->can_recv(sim::kAnySource, static_cast<std::int64_t>(tag))) {
     sim::RankCtx::RecvInfo info =
         ctx_->recv(sim::kAnySource, static_cast<std::int64_t>(tag));
-    const auto src = static_cast<std::size_t>(comm_rank_of_world(info.src));
-    FCS_CHECK(incoming[src].empty() || src == static_cast<std::size_t>(r),
-              "duplicate sparse message from rank " << src);
-    recv_bytes[src] = info.payload.size();
-    incoming[src] = std::move(info.payload);
+    arrived.push_back(
+        Arrival{comm_rank_of_world(info.src), std::move(info.payload)});
   }
+  std::sort(arrived.begin(), arrived.end(),
+            [](const Arrival& a, const Arrival& b) { return a.rank < b.rank; });
 
+  // Assemble grouped by ascending source rank, the self block in its place.
+  recvs.clear();
   std::size_t total = 0;
-  for (std::size_t b : recv_bytes) total += b;
-  std::vector<std::byte> out(total);
-  std::size_t pos = 0;
-  for (int i = 0; i < p; ++i) {
-    const auto& blk = incoming[static_cast<std::size_t>(i)];
-    if (!blk.empty()) std::memcpy(out.data() + pos, blk.data(), blk.size());
-    pos += blk.size();
+  const auto add = [&](int src, std::size_t bytes) {
+    FCS_CHECK(recvs.empty() || recvs.back().rank != src,
+              "duplicate sparse message from rank " << src);
+    recvs.push_back(Partner{src, total, bytes});
+    total += bytes;
+  };
+  bool self_done = self == nullptr;
+  for (const Arrival& a : arrived) {
+    if (!self_done && r < a.rank) {
+      add(r, self->count);
+      self_done = true;
+    }
+    add(a.rank, a.payload.size());
   }
-  return out;
+  if (!self_done) add(r, self->count);
+  out.resize(total);
+  std::size_t k = 0;
+  for (const Partner& e : recvs) {
+    const std::byte* src =
+        e.rank == r ? as_bytes(in) + self->offset : arrived[k++].payload.data();
+    if (e.count > 0) std::memcpy(out.data() + e.offset, src, e.count);
+  }
 }
 
 }  // namespace mpi

@@ -163,4 +163,79 @@ Comm Comm::split(int color, int key) const {
 
 Comm Comm::dup() const { return split(0, my_rank_); }
 
+void partners_from_counts(const std::vector<std::size_t>& counts,
+                          PartnerList& list) {
+  list.clear();
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] > 0)
+      list.push_back(Partner{static_cast<int>(i), offset, counts[i]});
+    offset += counts[i];
+  }
+}
+
+void counts_from_partners(const PartnerList& list, int nranks,
+                          std::vector<std::size_t>& counts) {
+  counts.assign(static_cast<std::size_t>(nranks), 0);
+  for (const Partner& e : list) counts[static_cast<std::size_t>(e.rank)] = e.count;
+}
+
+namespace detail {
+
+void check_partners(const PartnerList& list, int nranks, const char* op) {
+  int prev = -1;
+  for (const Partner& e : list) {
+    FCS_CHECK(e.rank > prev && e.rank < nranks,
+              op << ": partner list must name ranks of [0, " << nranks
+                 << ") in ascending order, got rank " << e.rank
+                 << " after " << prev);
+    prev = e.rank;
+  }
+}
+
+}  // namespace detail
+
+PartnerIndex::PartnerIndex(const Comm& comm)
+    : group_(*comm.group_),
+      table_(group_.partner_slot),
+      ranks_(group_.partner_ranks) {
+  FCS_CHECK(!group_.partner_busy,
+            "PartnerIndex: another index of this communicator is live");
+  group_.partner_busy = true;
+  if (table_.size() != group_.world_ranks.size())
+    table_.assign(group_.world_ranks.size(), -1);
+  ranks_.clear();
+}
+
+PartnerIndex::~PartnerIndex() {
+  for (const int r : ranks_) table_[static_cast<std::size_t>(r)] = -1;
+  ranks_.clear();
+  group_.partner_busy = false;
+}
+
+void PartnerIndex::finish(PartnerList& list) {
+  // Order the claimed ranks: sorting k of them costs O(k log k), walking the
+  // table O(P); a list with many partners takes the walk, so the cost stays
+  // O(partners) either way.
+  if (ranks_.size() * 64 < table_.size()) {
+    std::sort(ranks_.begin(), ranks_.end());
+  } else {
+    ranks_.clear();
+    for (std::size_t r = 0; r < table_.size(); ++r)
+      if (table_[r] >= 0) ranks_.push_back(static_cast<int>(r));
+  }
+  for (std::size_t i = 0; i < ranks_.size(); ++i)
+    table_[static_cast<std::size_t>(ranks_[i])] = static_cast<int>(i);
+  // Move every entry to its rank's position; each swap places one entry
+  // for good.
+  for (std::size_t i = 0; i < list.size(); ++i)
+    for (std::size_t to; (to = entry(list[i].rank)) != i;)
+      std::swap(list[i], list[to]);
+  std::size_t offset = 0;
+  for (Partner& e : list) {
+    e.offset = offset;
+    offset += e.count;
+  }
+}
+
 }  // namespace mpi

@@ -53,6 +53,29 @@ struct Status {
   }
 };
 
+/// One active partner of a sparse exchange: `count` units starting at unit
+/// `offset` of a packed buffer. At the minimpi layer the unit is the byte;
+/// redist plans count items. A partner list names each rank at most once,
+/// in ascending rank order, so a step's bookkeeping scales with its active
+/// partners instead of the communicator size (DESIGN.md, "Exchange
+/// schedules as partner lists").
+struct Partner {
+  int rank = 0;
+  std::size_t offset = 0;
+  std::size_t count = 0;
+};
+using PartnerList = std::vector<Partner>;
+
+/// Partner list of an MPI-style count vector (one entry per rank): one entry
+/// per non-zero count, offsets are the packed prefix sums.
+void partners_from_counts(const std::vector<std::size_t>& counts,
+                          PartnerList& list);
+
+/// Expand a partner list into an MPI-style count vector of `nranks` entries
+/// (zero for ranks the list does not name).
+void counts_from_partners(const PartnerList& list, int nranks,
+                          std::vector<std::size_t>& counts);
+
 /// Reduction operators for the typed collectives.
 struct OpSum {
   template <class T> T operator()(const T& a, const T& b) const { return a + b; }
@@ -79,6 +102,15 @@ struct ShrinkResult;
 
 namespace detail {
 struct AsyncState;
+/// Throws unless `list` names ranks of [0, nranks) in strictly ascending
+/// order; `op` prefixes the message.
+void check_partners(const PartnerList& list, int nranks, const char* op);
+/// Known-sizes self block: copies this rank's entry of `sends` (offsets into
+/// `in`) to its entry of `recvs` (offsets into `out`); throws when the two
+/// sizes differ.
+void copy_self_block(const void* in, const PartnerList& sends,
+                     const PartnerList& recvs, void* out, int self,
+                     const char* op);
 }
 
 /// Non-blocking operation handle backed by the progress engine (async.cpp).
@@ -296,7 +328,8 @@ class Comm {
   /// Sparse point-to-point exchange (NBX-style): only non-empty partner
   /// messages are sent; no dense collective latency is charged. This is the
   /// "neighborhood communication" path of the paper's method B with
-  /// max-movement information.
+  /// max-movement information. MPI-shaped adapter over the partner-list
+  /// sparse_alltoallv_bytes below.
   template <class T>
   std::vector<T> sparse_alltoallv(const T* in,
                                   const std::vector<std::size_t>& send_counts,
@@ -417,9 +450,20 @@ class Comm {
   std::vector<std::byte> alltoallv_bytes(
       const void* in, const std::vector<std::size_t>& send_bytes,
       std::vector<std::size_t>& recv_bytes) const;
+  /// MPI-shaped adapter over the partner-list sparse exchange below: one
+  /// send size per rank in, one receive size per rank out.
   std::vector<std::byte> sparse_alltoallv_bytes(
       const void* in, const std::vector<std::size_t>& send_bytes,
       std::vector<std::size_t>& recv_bytes) const;
+
+  /// Sparse exchange with unknown receive sizes (NBX): one message per
+  /// non-empty entry of `sends` (byte offsets into `in`), one dissemination
+  /// barrier, then a drain. On return `recvs` names every source that sent
+  /// (this rank included when `sends` names it), with byte offsets into
+  /// `out`, which holds the data grouped by ascending source rank.
+  void sparse_alltoallv_bytes(const void* in, const PartnerList& sends,
+                              PartnerList& recvs,
+                              std::vector<std::byte>& out) const;
 
   /// Dense data exchange with KNOWN per-source receive sizes (from a reusable
   /// redist::ExchangePlan): skips the counts transpose of alltoallv_bytes but
@@ -431,13 +475,13 @@ class Comm {
                              const std::vector<std::size_t>& recv_bytes,
                              void* out) const;
 
-  /// Sparse exchange with KNOWN sizes: sends go straight to the non-empty
-  /// partners and receives come straight from the known sources - no NBX
-  /// barrier round, which is what makes a reused plan cheaper than
-  /// sparse_alltoallv_bytes.
-  void sparse_alltoallv_bytes_known(const void* in,
-                                    const std::vector<std::size_t>& send_bytes,
-                                    const std::vector<std::size_t>& recv_bytes,
+  /// Sparse exchange with KNOWN sizes: sends go straight to the partners of
+  /// `sends` and receives come straight from the partners of `recvs` (byte
+  /// offsets into `in` and `out`) - no NBX barrier round, which is what makes
+  /// a reused plan cheaper than sparse_alltoallv_bytes. A self entry must
+  /// have the same size on both lists.
+  void sparse_alltoallv_bytes_known(const void* in, const PartnerList& sends,
+                                    const PartnerList& recvs,
                                     void* out) const;
 
   using CombineFn = void (*)(void* inout, const void* in, std::size_t count,
@@ -474,36 +518,17 @@ class Comm {
                            std::size_t elem_size, CombineFn combine,
                            std::shared_ptr<const void> op) const;
 
-  /// Non-blocking dense alltoallv: the counts transpose runs synchronously
-  /// at creation (it is a dependency of the receive layout), the data phase
-  /// is asynchronous. `recv_bytes` and `out` are filled on completion.
-  Request ialltoallv_bytes(const void* in,
-                           const std::vector<std::size_t>& send_bytes,
-                           std::vector<std::size_t>* recv_bytes,
-                           std::vector<std::byte>* out) const;
-
-  /// Non-blocking dense exchange with KNOWN sizes (plan reuse path); the
-  /// dense fabric latency/contention charge goes to the NIC timeline.
-  Request ialltoallv_bytes_known(const void* in,
-                                 const std::vector<std::size_t>& send_bytes,
-                                 const std::vector<std::size_t>& recv_bytes,
-                                 void* out) const;
-
-  /// Non-blocking sparse exchange (NBX): sends go out at creation, the
-  /// termination barrier and drain progress via polling.
-  Request isparse_alltoallv_bytes(const void* in,
-                                  const std::vector<std::size_t>& send_bytes,
-                                  std::vector<std::size_t>* recv_bytes,
-                                  std::vector<std::byte>* out) const;
-
-  /// Non-blocking sparse exchange with KNOWN sizes: no barrier round; each
-  /// expected partner message is polled directly.
-  Request isparse_alltoallv_bytes_known(
-      const void* in, const std::vector<std::size_t>& send_bytes,
-      const std::vector<std::size_t>& recv_bytes, void* out) const;
+  /// Non-blocking sparse exchange with KNOWN sizes (partner lists as in
+  /// sparse_alltoallv_bytes_known): no barrier round; each expected partner
+  /// message is polled directly.
+  Request isparse_alltoallv_bytes_known(const void* in,
+                                        const PartnerList& sends,
+                                        const PartnerList& recvs,
+                                        void* out) const;
 
  private:
   friend struct detail::AsyncState;
+  friend class PartnerIndex;
 
   struct Group {
     std::vector<int> world_ranks;   // comm rank -> engine rank
@@ -516,6 +541,11 @@ class Comm {
     // across ranks). Mutable for the same reason as the index above: reusing
     // scratch does not change the communicator's observable state.
     mutable BufferPool pool;
+    // PartnerIndex state: rank -> slot (-1 when unused; sized on first use),
+    // the ranks in slot order, and whether an index is live.
+    mutable std::vector<int> partner_slot;
+    mutable std::vector<int> partner_ranks;
+    mutable bool partner_busy = false;
   };
 
   /// Communicator rank of an engine (world) rank; O(log size).
@@ -589,6 +619,46 @@ class Comm {
 struct ShrinkResult {
   Comm comm;                // dense survivor communicator
   std::vector<int> failed;  // failed ranks of the parent comm, ascending
+};
+
+/// Builds a partner list from destinations that arrive in any order, in
+/// O(items + partners): a table with one entry per communicator rank, which
+/// the communicator allocates once per rank and which is all -1 between
+/// uses, maps each rank to its list entry; the destructor resets only the
+/// entries this index claimed. At most one index per communicator may be
+/// live at a time.
+class PartnerIndex {
+ public:
+  explicit PartnerIndex(const Comm& comm);
+  ~PartnerIndex();
+  PartnerIndex(const PartnerIndex&) = delete;
+  PartnerIndex& operator=(const PartnerIndex&) = delete;
+
+  /// Add `n` units for `rank` (the caller has range-checked it) to `list`;
+  /// a rank seen for the first time appends an entry.
+  void add(int rank, std::size_t n, PartnerList& list) {
+    int& e = table_[static_cast<std::size_t>(rank)];
+    if (e < 0) {
+      e = static_cast<int>(list.size());
+      ranks_.push_back(rank);
+      list.push_back(Partner{rank, 0, 0});
+    }
+    list[static_cast<std::size_t>(e)].count += n;
+  }
+
+  /// Sort `list` (built by add()) by rank and set its offsets to the packed
+  /// prefix sums; entry() then names the sorted positions.
+  void finish(PartnerList& list);
+
+  /// Entry of an added rank in the finished list.
+  std::size_t entry(int rank) const {
+    return static_cast<std::size_t>(table_[static_cast<std::size_t>(rank)]);
+  }
+
+ private:
+  Comm::Group& group_;
+  std::vector<int>& table_;
+  std::vector<int>& ranks_;
 };
 
 }  // namespace mpi

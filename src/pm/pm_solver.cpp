@@ -165,12 +165,29 @@ fcs::SolveStage PmSolver::begin_solve(const mpi::Comm& comm,
   plain.reserve(2 * positions.size());
   targets.reserve(2 * positions.size());
   bool targets_ok = want_neighborhood;
+  // The neighborhood exchange's partners: this rank and its neighbors, in
+  // ascending rank. The check below records each copy's partner slot, so
+  // the exchange counts per slot without any per-rank array.
+  std::vector<int> slot_rank;
+  std::vector<std::uint32_t> copy_slot;
+  if (targets_ok) {
+    slot_rank = neighbors;
+    slot_rank.insert(
+        std::lower_bound(slot_rank.begin(), slot_rank.end(), comm.rank()),
+        comm.rank());
+    copy_slot.reserve(2 * positions.size());
+  }
   auto add_copy = [&](const PmParticle& particle, int target) {
     plain.push_back(particle);
     targets.push_back(target);
-    if (targets_ok && target != comm.rank() &&
-        !std::binary_search(neighbors.begin(), neighbors.end(), target))
+    if (!targets_ok) return;
+    const auto it =
+        std::lower_bound(slot_rank.begin(), slot_rank.end(), target);
+    if (it == slot_rank.end() || *it != target) {
       targets_ok = false;
+      return;
+    }
+    copy_slot.push_back(static_cast<std::uint32_t>(it - slot_rank.begin()));
   };
   domain::CartGrid::Placement placed;
   for (std::size_t i = 0; i < positions.size(); ++i) {
@@ -198,22 +215,28 @@ fcs::SolveStage PmSolver::begin_solve(const mpi::Comm& comm,
                         !options.carry->empty();
   std::vector<PmParticle> received;
   if (neighborhood_ok) {
-    std::vector<std::size_t> send_counts(static_cast<std::size_t>(comm.size()), 0);
-    for (const int t : targets) ++send_counts[static_cast<std::size_t>(t)];
-    std::vector<std::size_t> offsets(send_counts.size() + 1, 0);
-    for (std::size_t d = 0; d < send_counts.size(); ++d)
-      offsets[d + 1] = offsets[d] + send_counts[d];
+    // Partner list over the slots: count, prefix-sum, then pack
+    // destination-major (each slot's offset is its cursor, rewound after).
+    mpi::PartnerList sends(slot_rank.size());
+    for (std::size_t k = 0; k < slot_rank.size(); ++k)
+      sends[k].rank = slot_rank[k];
+    for (const std::uint32_t k : copy_slot) ++sends[k].count;
+    std::size_t n_copies = 0;
+    for (mpi::Partner& e : sends) {
+      e.offset = n_copies;
+      n_copies += e.count;
+    }
     // Destination-major packing staged in the communicator's buffer pool -
     // steady-state neighborhood steps reuse the same scratch allocation.
-    mpi::PooledBuffer packed(comm.pool(), offsets.back() * sizeof(PmParticle),
+    mpi::PooledBuffer packed(comm.pool(), n_copies * sizeof(PmParticle),
                              ctx.obs());
     PmParticle* const pk = reinterpret_cast<PmParticle*>(packed.data());
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
     for (std::size_t i = 0; i < plain.size(); ++i)
-      pk[cursor[static_cast<std::size_t>(targets[i])]++] = plain[i];
-    std::vector<std::size_t> recv_counts;
-    received = redist::neighborhood_alltoallv(comm, neighbors, pk,
-                                              send_counts, recv_counts);
+      pk[sends[copy_slot[i]].offset++] = plain[i];
+    for (mpi::Partner& e : sends) e.offset -= e.count;
+    mpi::PartnerList recvs;
+    received =
+        redist::neighborhood_alltoallv(comm, neighbors, pk, sends, recvs);
   } else if (carrying) {
     // Ship the store's payload columns inside the same alltoallv as the
     // particle records. Each copy (owner or ghost) carries the column row of
@@ -425,13 +448,13 @@ void PmSolver::compute_fields(const mpi::Comm& comm,
             [](const CellVal& a, const CellVal& b) { return a.cell < b.cell; });
 
   const std::size_t plane_cells = mesh_[1] * mesh_[2];
-  std::vector<std::size_t> recv_counts;
+  mpi::PartnerList sources;
   std::vector<CellVal> incoming = redist::fine_grained_redistribute(
       comm, contributions,
       [&](const CellVal& cv, std::size_t, std::vector<int>& t) {
         t.push_back(fft.owner_of_plane(cv.cell / plane_cells));
       },
-      redist::ExchangeKind::kSparse, &recv_counts);
+      redist::ExchangeKind::kSparse, &sources);
 
   // Accumulate into my slab.
   std::vector<Complex> rho(fft.slab_planes() * plane_cells, Complex{0, 0});
@@ -484,10 +507,10 @@ void PmSolver::compute_fields(const mpi::Comm& comm,
     // order so each source can match its sorted request list.
     replies.reserve(incoming.size());
     std::vector<int> reply_target(incoming.size());
-    std::size_t pos = 0;
-    for (int src = 0; src < comm.size(); ++src)
-      for (std::size_t k = 0; k < recv_counts[static_cast<std::size_t>(src)]; ++k)
-        reply_target[pos++] = src;
+    for (const mpi::Partner& src : sources)
+      std::fill_n(reply_target.begin() +
+                      static_cast<std::ptrdiff_t>(src.offset),
+                  src.count, src.rank);
     for (std::size_t i = 0; i < incoming.size(); ++i) {
       const std::size_t idx = incoming[i].cell - slab_offset;
       replies.push_back(CellFields{incoming[i].cell, phi[idx].real(),

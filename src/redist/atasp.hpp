@@ -37,13 +37,14 @@ namespace redist {
 /// Redistribute `items`: dist(item, index, targets) appends the destination
 /// rank(s) of the item to `targets` (pre-cleared; more than one = ghost
 /// duplicates). dist is evaluated exactly once per item. Returns the
-/// received elements grouped by source rank; `recv_counts`, if non-null,
-/// receives the per-source counts; `plan_out`, if non-null, receives the
-/// reusable exchange plan (counts known, ready for apply()/FusedBatch).
+/// received elements grouped by source rank; `recv_out`, if non-null,
+/// receives the (source, first element, elements) list of the sources, in
+/// ascending rank; `plan_out`, if non-null, receives the reusable exchange
+/// plan (counts known, ready for apply()/FusedBatch).
 template <class T, class DistFn>
 std::vector<T> fine_grained_redistribute(
     const mpi::Comm& comm, const std::vector<T>& items, DistFn dist,
-    ExchangeKind kind, std::vector<std::size_t>* recv_counts_out = nullptr,
+    ExchangeKind kind, mpi::PartnerList* recv_out = nullptr,
     ExchangePlan* plan_out = nullptr) {
   static_assert(std::is_trivially_copyable_v<T>);
   obs::Span span(comm.ctx().obs(), "redist.fine_grained");
@@ -70,8 +71,7 @@ std::vector<T> fine_grained_redistribute(
   }
   if (obs::RankObs* const o = comm.ctx().obs(); o != nullptr) {
     const bool dense = kind == ExchangeKind::kDense;
-    const std::size_t self =
-        plan.send_counts()[static_cast<std::size_t>(comm.rank())];
+    const std::size_t self = plan.send_count_to(comm.rank());
     const std::size_t moved = plan.n_send_slots() - self;
     o->add(dense ? "redist.dense.calls" : "redist.sparse.calls", 1.0);
     o->add(dense ? "redist.dense.elements_out" : "redist.sparse.elements_out",
@@ -84,7 +84,7 @@ std::vector<T> fine_grained_redistribute(
     o->add(dense ? "redist.dense.elements_in" : "redist.sparse.elements_in",
            static_cast<double>(received.size()));
   }
-  if (recv_counts_out != nullptr) *recv_counts_out = plan.recv_counts();
+  if (recv_out != nullptr) *recv_out = plan.recv_partners();
   if (plan_out != nullptr) *plan_out = std::move(plan);
   return received;
 }

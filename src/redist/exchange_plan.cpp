@@ -26,73 +26,120 @@ bool fuse_enabled() {
 
 void set_exchange_fuse(int enabled) { g_fuse_override = enabled; }
 
-void ExchangePlan::set_recv_counts(std::vector<std::size_t> recv_counts) {
-  FCS_CHECK(static_cast<int>(recv_counts.size()) == nranks_,
-            "ExchangePlan: need one receive count per rank");
-  recv_counts_ = std::move(recv_counts);
-  recv_offsets_.assign(static_cast<std::size_t>(nranks_) + 1, 0);
-  for (int i = 0; i < nranks_; ++i)
-    recv_offsets_[static_cast<std::size_t>(i) + 1] =
-        recv_offsets_[static_cast<std::size_t>(i)] +
-        recv_counts_[static_cast<std::size_t>(i)];
+std::size_t ExchangePlan::send_count_to(int rank) const {
+  const auto it = std::lower_bound(
+      send_.begin(), send_.end(), rank,
+      [](const mpi::Partner& e, int r) { return e.rank < r; });
+  return it != send_.end() && it->rank == rank ? it->count : 0;
+}
+
+void ExchangePlan::scale_partners(const mpi::PartnerList& slots,
+                                  std::size_t item_bytes,
+                                  mpi::PartnerList& out) {
+  out.resize(slots.size());
+  for (std::size_t i = 0; i < slots.size(); ++i)
+    out[i] = mpi::Partner{slots[i].rank, slots[i].offset * item_bytes,
+                          slots[i].count * item_bytes};
+}
+
+void ExchangePlan::finish_recv() {
+  n_recv_ = 0;
+  for (mpi::Partner& e : recv_) {
+    e.offset = n_recv_;
+    n_recv_ += e.count;
+  }
   counts_known_ = true;
 }
 
 void ExchangePlan::negotiate(const mpi::Comm& comm) {
   obs::Span span(comm.ctx().obs(), "redist.exchange.negotiate");
   const int p = nranks_;
+  recv_.clear();
   if (kind_ == ExchangeKind::kDense) {
-    std::vector<std::uint64_t> sc(send_counts_.begin(), send_counts_.end());
+    std::vector<std::uint64_t> sc(static_cast<std::size_t>(p), 0);
+    for (const mpi::Partner& e : send_)
+      sc[static_cast<std::size_t>(e.rank)] = e.count;
     std::vector<std::uint64_t> rc(static_cast<std::size_t>(p));
     comm.alltoall(sc.data(), 1, rc.data());
-    set_recv_counts(std::vector<std::size_t>(rc.begin(), rc.end()));
+    for (int i = 0; i < p; ++i)
+      if (rc[static_cast<std::size_t>(i)] > 0)
+        recv_.push_back(mpi::Partner{
+            i, 0, static_cast<std::size_t>(rc[static_cast<std::size_t>(i)])});
+    finish_recv();
     return;
   }
   // Sparse: NBX-style count exchange - only non-empty partners send their
   // count; absent partners contribute zero.
-  std::vector<std::uint64_t> payload(static_cast<std::size_t>(p));
-  std::vector<std::size_t> send_bytes(static_cast<std::size_t>(p), 0);
-  for (int i = 0; i < p; ++i) {
-    payload[static_cast<std::size_t>(i)] =
-        send_counts_[static_cast<std::size_t>(i)];
-    if (send_counts_[static_cast<std::size_t>(i)] > 0)
-      send_bytes[static_cast<std::size_t>(i)] = sizeof(std::uint64_t);
+  std::vector<std::uint64_t> payload(send_.size());
+  send_bytes_.resize(send_.size());
+  for (std::size_t j = 0; j < send_.size(); ++j) {
+    payload[j] = send_[j].count;
+    send_bytes_[j] = mpi::Partner{send_[j].rank, j * sizeof(std::uint64_t),
+                                  sizeof(std::uint64_t)};
   }
-  // Compact the non-empty counts (sparse_alltoallv_bytes packs by offset).
-  std::vector<std::byte> dense(static_cast<std::size_t>(p) *
-                               sizeof(std::uint64_t));
-  std::size_t pos = 0;
-  for (int i = 0; i < p; ++i) {
-    if (send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    std::memcpy(dense.data() + pos, &payload[static_cast<std::size_t>(i)],
-                sizeof(std::uint64_t));
-    pos += sizeof(std::uint64_t);
-  }
-  std::vector<std::size_t> recv_bytes;
-  std::vector<std::byte> raw =
-      comm.sparse_alltoallv_bytes(dense.data(), send_bytes, recv_bytes);
-  std::vector<std::size_t> rc(static_cast<std::size_t>(p), 0);
-  pos = 0;
-  for (int i = 0; i < p; ++i) {
-    if (recv_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    FCS_CHECK(recv_bytes[static_cast<std::size_t>(i)] == sizeof(std::uint64_t),
+  std::vector<std::byte> raw;
+  comm.sparse_alltoallv_bytes(payload.data(), send_bytes_, recv_bytes_, raw);
+  for (const mpi::Partner& e : recv_bytes_) {
+    FCS_CHECK(e.count == sizeof(std::uint64_t),
               "ExchangePlan::negotiate: malformed count message");
     std::uint64_t c = 0;
-    std::memcpy(&c, raw.data() + pos, sizeof c);
-    rc[static_cast<std::size_t>(i)] = static_cast<std::size_t>(c);
-    pos += sizeof(std::uint64_t);
+    std::memcpy(&c, raw.data() + e.offset, sizeof c);
+    recv_.push_back(mpi::Partner{e.rank, 0, static_cast<std::size_t>(c)});
   }
-  set_recv_counts(std::move(rc));
+  finish_recv();
 }
 
 void ExchangePlan::run_known(const mpi::Comm& comm, const std::byte* packed,
                              std::byte* out) const {
-  if (kind_ == ExchangeKind::kDense)
-    comm.alltoallv_bytes_known(packed, send_bytes_scratch_,
-                               recv_bytes_scratch_, out);
-  else
-    comm.sparse_alltoallv_bytes_known(packed, send_bytes_scratch_,
-                                      recv_bytes_scratch_, out);
+  if (kind_ == ExchangeKind::kDense) {
+    mpi::counts_from_partners(send_bytes_, nranks_, dense_send_bytes_);
+    mpi::counts_from_partners(recv_bytes_, nranks_, dense_recv_bytes_);
+    comm.alltoallv_bytes_known(packed, dense_send_bytes_, dense_recv_bytes_,
+                               out);
+  } else {
+    comm.sparse_alltoallv_bytes_known(packed, send_bytes_, recv_bytes_, out);
+  }
+}
+
+std::size_t FusedBatch::pack_partner(const mpi::Partner& e, std::byte* dst,
+                                     std::uint64_t* sum) const {
+  Header h;
+  h.magic = kMagic;
+  h.nseg = static_cast<std::uint16_t>(segments_.size());
+  h.items = e.count;
+  std::memcpy(dst, &h, sizeof h);
+  std::size_t pos = sizeof h;
+  for (const Segment& s : segments_) {
+    sortlib::gather_rows(s.src, dst + pos, plan_->slot_src_.data() + e.offset,
+                         e.count, s.item_bytes);
+    if (sum != nullptr)
+      *sum += content_checksum(dst + pos, e.count, s.item_bytes);
+    pos += e.count * s.item_bytes;
+  }
+  return pos;
+}
+
+std::size_t FusedBatch::unpack_partner(const mpi::Partner& e,
+                                       const std::byte* src,
+                                       std::byte* const* out_ptr,
+                                       std::uint64_t* sum) const {
+  const std::size_t nseg = segments_.size();
+  Header h;
+  std::memcpy(&h, src, sizeof h);
+  FCS_CHECK(h.magic == kMagic && h.nseg == nseg && h.items == e.count,
+            "FusedBatch: malformed fused message from rank " << e.rank);
+  std::size_t pos = sizeof h;
+  for (std::size_t s = 0; s < nseg; ++s) {
+    const std::size_t ib = segments_[s].item_bytes;
+    if (placement_ == nullptr)
+      std::memcpy(out_ptr[s] + e.offset * ib, src + pos, e.count * ib);
+    else
+      sortlib::scatter_rows(src + pos, out_ptr[s], placement_ + e.offset,
+                            e.count, ib);
+    if (sum != nullptr) *sum += content_checksum(src + pos, e.count, ib);
+    pos += e.count * ib;
+  }
+  return pos;
 }
 
 void FusedBatch::execute() {
@@ -103,29 +150,27 @@ void FusedBatch::execute() {
   const mpi::Comm& comm = *comm_;
   obs::RankObs* const o = comm.ctx().obs();
   obs::Span span(o, "redist.exchange.fused");
-  const int p = plan.nranks_;
   const int r = comm.rank();
   const std::size_t nseg = segments_.size();
   FCS_CHECK(nseg <= 0xffff, "FusedBatch: too many segments");
   std::size_t payload_bytes = 0;  // per item, across all segments
   for (const Segment& s : segments_) payload_bytes += s.item_bytes;
 
-  // Per-partner message size: one header plus nseg back-to-back segments.
-  auto msg_bytes = [&](std::size_t items) {
-    return items > 0 ? sizeof(Header) + items * payload_bytes : 0;
+  // Per-partner message: one header plus nseg back-to-back segments, laid
+  // out in ascending partner rank.
+  const auto schedule = [&](const mpi::PartnerList& slots,
+                            mpi::PartnerList& bytes) {
+    bytes.resize(slots.size());
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const std::size_t b = msg_bytes(slots[i].count, payload_bytes);
+      bytes[i] = mpi::Partner{slots[i].rank, total, b};
+      total += b;
+    }
+    return total;
   };
-  ExchangePlan::scratch_counts(plan.send_counts_, 1, plan.send_bytes_scratch_);
-  ExchangePlan::scratch_counts(plan.recv_counts_, 1, plan.recv_bytes_scratch_);
-  std::size_t send_total = 0;
-  std::size_t recv_total = 0;
-  for (int i = 0; i < p; ++i) {
-    plan.send_bytes_scratch_[static_cast<std::size_t>(i)] =
-        msg_bytes(plan.send_counts_[static_cast<std::size_t>(i)]);
-    plan.recv_bytes_scratch_[static_cast<std::size_t>(i)] =
-        msg_bytes(plan.recv_counts_[static_cast<std::size_t>(i)]);
-    send_total += plan.send_bytes_scratch_[static_cast<std::size_t>(i)];
-    recv_total += plan.recv_bytes_scratch_[static_cast<std::size_t>(i)];
-  }
+  const std::size_t send_total = schedule(plan.send_, plan.send_bytes_);
+  const std::size_t recv_total = schedule(plan.recv_, plan.recv_bytes_);
 
   // Pack: destination-major, one header + nseg segments per partner. All
   // sources are read before any output vector is touched, so out MAY alias
@@ -133,40 +178,12 @@ void FusedBatch::execute() {
   mpi::PooledBuffer send_buf(comm.pool(), send_total, o);
   std::uint64_t sent_sum = 0;
   const bool validate = validation_enabled();
-  {
-    std::size_t pos = 0;
-    for (int d = 0; d < p; ++d) {
-      const std::size_t items = plan.send_counts_[static_cast<std::size_t>(d)];
-      if (items == 0) continue;
-      Header h;
-      h.magic = kMagic;
-      h.nseg = static_cast<std::uint16_t>(nseg);
-      h.items = items;
-      std::memcpy(send_buf.data() + pos, &h, sizeof h);
-      pos += sizeof h;
-      const std::size_t first = plan.send_offsets_[static_cast<std::size_t>(d)];
-      for (const Segment& s : segments_) {
-        sortlib::gather_rows(s.src, send_buf.data() + pos,
-                             plan.slot_src_.data() + first, items,
-                             s.item_bytes);
-        if (validate)
-          sent_sum += content_checksum(send_buf.data() + pos, items,
-                                       s.item_bytes);
-        pos += items * s.item_bytes;
-      }
-    }
-    FCS_ASSERT(pos == send_total);
-  }
+  for (std::size_t i = 0; i < plan.send_.size(); ++i)
+    pack_partner(plan.send_[i], send_buf.data() + plan.send_bytes_[i].offset,
+                 validate ? &sent_sum : nullptr);
 
   mpi::PooledBuffer recv_buf(comm.pool(), recv_total, o);
-  if (plan.kind_ == ExchangeKind::kDense)
-    comm.alltoallv_bytes_known(send_buf.data(), plan.send_bytes_scratch_,
-                               plan.recv_bytes_scratch_, recv_buf.data());
-  else
-    comm.sparse_alltoallv_bytes_known(send_buf.data(),
-                                      plan.send_bytes_scratch_,
-                                      plan.recv_bytes_scratch_,
-                                      recv_buf.data());
+  plan.run_known(comm, send_buf.data(), recv_buf.data());
 
   // Unpack: resize outputs now that every source has been read, then copy
   // each segment out, grouped by source rank in plan slot order (or
@@ -178,34 +195,9 @@ void FusedBatch::execute() {
         segments_[s].resize_out(segments_[s].out_vec,
                                 n_recv * segments_[s].item_bytes);
   std::uint64_t recv_sum = 0;
-  {
-    std::size_t pos = 0;
-    for (int src = 0; src < p; ++src) {
-      const std::size_t items =
-          plan.recv_counts_[static_cast<std::size_t>(src)];
-      if (items == 0) continue;
-      Header h;
-      std::memcpy(&h, recv_buf.data() + pos, sizeof h);
-      FCS_CHECK(h.magic == kMagic && h.nseg == nseg && h.items == items,
-                "FusedBatch: malformed fused message from rank " << src);
-      pos += sizeof h;
-      const std::size_t slot0 =
-          plan.recv_offsets_[static_cast<std::size_t>(src)];
-      for (std::size_t s = 0; s < nseg; ++s) {
-        const std::size_t ib = segments_[s].item_bytes;
-        if (placement_ == nullptr)
-          std::memcpy(out_ptr[s] + slot0 * ib, recv_buf.data() + pos,
-                      items * ib);
-        else
-          sortlib::scatter_rows(recv_buf.data() + pos, out_ptr[s],
-                                placement_ + slot0, items, ib);
-        if (validate)
-          recv_sum += content_checksum(recv_buf.data() + pos, items, ib);
-        pos += items * ib;
-      }
-    }
-    FCS_ASSERT(pos == recv_total);
-  }
+  for (std::size_t i = 0; i < plan.recv_.size(); ++i)
+    unpack_partner(plan.recv_[i], recv_buf.data() + plan.recv_bytes_[i].offset,
+                   out_ptr.data(), validate ? &recv_sum : nullptr);
   if (validate)
     validate_exchange(comm, "fused_exchange",
                       plan.n_send_slots() * nseg, sent_sum, n_recv * nseg,
@@ -213,8 +205,8 @@ void FusedBatch::execute() {
 
   if (o != nullptr) {
     std::size_t moved = 0;
-    for (int i = 0; i < p; ++i)
-      if (i != r) moved += plan.send_bytes_scratch_[static_cast<std::size_t>(i)];
+    for (const mpi::Partner& e : plan.send_bytes_)
+      if (e.rank != r) moved += e.count;
     o->add("redist.fused.batches", 1.0);
     o->add("redist.fused.segments", static_cast<double>(nseg));
     o->add("redist.fused.elements",
@@ -243,23 +235,25 @@ std::size_t FusedBatch::async_begin(std::size_t slabs) {
       1, std::min(slabs, static_cast<std::size_t>(p)));
   run->slab.resize(run->slabs);
 
-  const auto msg_bytes = [&](std::size_t items) {
-    return items > 0 ? sizeof(Header) + items * run->payload_bytes : 0;
-  };
-  for (AsyncSlab& sl : run->slab) {
-    sl.send_bytes.assign(static_cast<std::size_t>(p), 0);
-    sl.recv_bytes.assign(static_cast<std::size_t>(p), 0);
+  // Partner k of either schedule joins slab (r + rank) % slabs; within a
+  // slab, partners keep ascending rank order.
+  for (std::size_t i = 0; i < plan.send_.size(); ++i) {
+    const mpi::Partner& e = plan.send_[i];
+    AsyncSlab& sl =
+        run->slab[static_cast<std::size_t>(r + e.rank) % run->slabs];
+    const std::size_t b = msg_bytes(e.count, run->payload_bytes);
+    sl.send.push_back(mpi::Partner{e.rank, sl.send_total, b});
+    sl.send_entry.push_back(static_cast<std::uint32_t>(i));
+    sl.send_total += b;
   }
-  for (int i = 0; i < p; ++i) {
-    AsyncSlab& sl = run->slab[static_cast<std::size_t>(r + i) % run->slabs];
-    const std::size_t sb =
-        msg_bytes(plan.send_counts_[static_cast<std::size_t>(i)]);
-    const std::size_t rb =
-        msg_bytes(plan.recv_counts_[static_cast<std::size_t>(i)]);
-    sl.send_bytes[static_cast<std::size_t>(i)] = sb;
-    sl.recv_bytes[static_cast<std::size_t>(i)] = rb;
-    sl.send_total += sb;
-    sl.recv_total += rb;
+  for (std::size_t i = 0; i < plan.recv_.size(); ++i) {
+    const mpi::Partner& e = plan.recv_[i];
+    AsyncSlab& sl =
+        run->slab[static_cast<std::size_t>(r + e.rank) % run->slabs];
+    const std::size_t b = msg_bytes(e.count, run->payload_bytes);
+    sl.recv.push_back(mpi::Partner{e.rank, sl.recv_total, b});
+    sl.recv_entry.push_back(static_cast<std::uint32_t>(i));
+    sl.recv_total += b;
   }
   for (AsyncSlab& sl : run->slab) {
     sl.send_buf =
@@ -276,33 +270,15 @@ std::size_t FusedBatch::async_begin(std::size_t slabs) {
 void FusedBatch::async_pack(std::size_t k) {
   FCS_CHECK(async_ != nullptr && k < async_->slabs,
             "FusedBatch::async_pack: no async run / bad slab");
-  const ExchangePlan& plan = *plan_;
   AsyncSlab& sl = async_->slab[k];
   FCS_CHECK(!sl.packed, "FusedBatch::async_pack: slab " << k
                             << " already packed");
   sl.packed = true;
-  const int p = plan.nranks_;
-  const std::size_t nseg = segments_.size();
   std::size_t pos = 0;
-  for (int d = 0; d < p; ++d) {
-    if (sl.send_bytes[static_cast<std::size_t>(d)] == 0) continue;
-    const std::size_t items = plan.send_counts_[static_cast<std::size_t>(d)];
-    Header h;
-    h.magic = kMagic;
-    h.nseg = static_cast<std::uint16_t>(nseg);
-    h.items = items;
-    std::memcpy(sl.send_buf->data() + pos, &h, sizeof h);
-    pos += sizeof h;
-    const std::size_t first = plan.send_offsets_[static_cast<std::size_t>(d)];
-    for (const Segment& s : segments_) {
-      sortlib::gather_rows(s.src, sl.send_buf->data() + pos,
-                           plan.slot_src_.data() + first, items, s.item_bytes);
-      if (async_->validate)
-        async_->sent_sum +=
-            content_checksum(sl.send_buf->data() + pos, items, s.item_bytes);
-      pos += items * s.item_bytes;
-    }
-  }
+  for (std::size_t j = 0; j < sl.send.size(); ++j)
+    pos += pack_partner(plan_->send_[sl.send_entry[j]],
+                        sl.send_buf->data() + sl.send[j].offset,
+                        async_->validate ? &async_->sent_sum : nullptr);
   FCS_ASSERT(pos == sl.send_total);
 }
 
@@ -326,9 +302,8 @@ mpi::Request FusedBatch::async_start(std::size_t k) {
         static_cast<double>(total_send) *
             net.dense_exchange_byte_time(comm.size()));
   }
-  return comm.isparse_alltoallv_bytes_known(sl.send_buf->data(), sl.send_bytes,
-                                            sl.recv_bytes,
-                                            sl.recv_buf->data());
+  return comm.isparse_alltoallv_bytes_known(sl.send_buf->data(), sl.send,
+                                            sl.recv, sl.recv_buf->data());
 }
 
 void FusedBatch::async_finish() {
@@ -336,7 +311,6 @@ void FusedBatch::async_finish() {
   const ExchangePlan& plan = *plan_;
   const mpi::Comm& comm = *comm_;
   obs::RankObs* const o = comm.ctx().obs();
-  const int p = plan.nranks_;
   const int r = comm.rank();
   const std::size_t nseg = segments_.size();
 
@@ -350,30 +324,11 @@ void FusedBatch::async_finish() {
   std::uint64_t recv_sum = 0;
   for (AsyncSlab& sl : async_->slab) {
     std::size_t pos = 0;
-    for (int src = 0; src < p; ++src) {
-      if (sl.recv_bytes[static_cast<std::size_t>(src)] == 0) continue;
-      const std::size_t items =
-          plan.recv_counts_[static_cast<std::size_t>(src)];
-      Header h;
-      std::memcpy(&h, sl.recv_buf->data() + pos, sizeof h);
-      FCS_CHECK(h.magic == kMagic && h.nseg == nseg && h.items == items,
-                "FusedBatch: malformed fused message from rank " << src);
-      pos += sizeof h;
-      const std::size_t slot0 =
-          plan.recv_offsets_[static_cast<std::size_t>(src)];
-      for (std::size_t s = 0; s < nseg; ++s) {
-        const std::size_t ib = segments_[s].item_bytes;
-        if (placement_ == nullptr)
-          std::memcpy(out_ptr[s] + slot0 * ib, sl.recv_buf->data() + pos,
-                      items * ib);
-        else
-          sortlib::scatter_rows(sl.recv_buf->data() + pos, out_ptr[s],
-                                placement_ + slot0, items, ib);
-        if (async_->validate)
-          recv_sum += content_checksum(sl.recv_buf->data() + pos, items, ib);
-        pos += items * ib;
-      }
-    }
+    for (std::size_t j = 0; j < sl.recv.size(); ++j)
+      pos += unpack_partner(plan.recv_[sl.recv_entry[j]],
+                            sl.recv_buf->data() + sl.recv[j].offset,
+                            out_ptr.data(),
+                            async_->validate ? &recv_sum : nullptr);
     FCS_ASSERT(pos == sl.recv_total);
   }
   if (async_->validate)
@@ -383,8 +338,8 @@ void FusedBatch::async_finish() {
   if (o != nullptr) {
     std::size_t moved = 0;
     for (const AsyncSlab& sl : async_->slab)
-      for (int i = 0; i < p; ++i)
-        if (i != r) moved += sl.send_bytes[static_cast<std::size_t>(i)];
+      for (const mpi::Partner& e : sl.send)
+        if (e.rank != r) moved += e.count;
     o->add("redist.fused.batches", 1.0);
     o->add("redist.fused.segments", static_cast<double>(nseg));
     o->add("redist.fused.elements",

@@ -23,13 +23,23 @@
 // per-field exchanges produced, which is what makes the fused path
 // bit-identical to them (tests/test_exchange_prop.cpp).
 //
-// All staging buffers come from the communicator's BufferPool, so steady
-// state steps perform zero heap allocations in the exchange path.
+// Send and receive schedules are rank-ascending partner lists
+// (mpi::PartnerList): (rank, first slot, slots) per active partner, so
+// building, negotiating and applying a plan costs O(items + partners), not
+// O(communicator size). Only a dense plan expands its lists into one
+// plan-owned count per rank, for the MPI_Alltoallv-shaped dense exchange.
+//
+// Staging buffers come from the communicator's BufferPool, so after warm-up
+// the exchange path allocates no staging memory ("pool.alloc" stays flat).
+// It still allocates the payload copy the engine makes per message, the
+// vectors an exchange returns, and O(items + partners) scratch per plan
+// build; none of these grows with the communicator size.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "minimpi/comm.hpp"
@@ -61,46 +71,57 @@ class ExchangePlan {
   static ExchangePlan build(const mpi::Comm& comm, std::size_t n_items,
                             DistFn&& dist, ExchangeKind kind) {
     ExchangePlan plan;
-    plan.kind_ = kind;
-    plan.nranks_ = comm.size();
-    plan.n_items_ = n_items;
-    const int p = plan.nranks_;
+    plan.assign(comm, n_items, std::forward<DistFn>(dist), kind);
+    return plan;
+  }
+
+  /// build() in place: the plan's storage is reused, so a plan rebuilt
+  /// every step stops allocating once it has seen its largest step.
+  /// Destinations are counted per active partner (mpi::PartnerIndex), so
+  /// the cost is O(items + partners), independent of the communicator size.
+  template <class DistFn>
+  void assign(const mpi::Comm& comm, std::size_t n_items, DistFn&& dist,
+              ExchangeKind kind) {
+    kind_ = kind;
+    nranks_ = comm.size();
+    n_items_ = n_items;
+    counts_known_ = false;
+    recv_.clear();
+    n_recv_ = 0;
+    const int p = nranks_;
     FCS_CHECK(n_items <= 0xffffffffULL, "more than 2^32 local items");
     obs::count(comm.ctx().obs(), "redist.plan.builds", 1.0);
 
     // Single pass: cache each item's targets (item-major), count per
-    // destination.
+    // partner.
     std::vector<int> targets;
-    std::vector<int> target_of_slot;
-    std::vector<std::size_t> first_slot(n_items + 1, 0);
-    plan.send_counts_.assign(static_cast<std::size_t>(p), 0);
+    std::vector<int> target_of_copy;
+    std::vector<std::size_t> first_copy(n_items + 1, 0);
+    mpi::PartnerIndex index(comm);
+    send_.clear();
     for (std::size_t i = 0; i < n_items; ++i) {
       targets.clear();
       dist(i, targets);
       for (int t : targets) {
         FCS_CHECK(t >= 0 && t < p, "distribution function returned rank "
                       << t << " outside the communicator (size " << p << ")");
-        ++plan.send_counts_[static_cast<std::size_t>(t)];
-        target_of_slot.push_back(t);
+        index.add(t, 1, send_);
+        target_of_copy.push_back(t);
       }
-      first_slot[i + 1] = target_of_slot.size();
+      first_copy[i + 1] = target_of_copy.size();
     }
 
-    // Counting sort of the cached targets into destination-major slot order;
-    // within a destination, slots stay ascending in item index.
-    plan.send_offsets_.assign(static_cast<std::size_t>(p) + 1, 0);
-    for (int d = 0; d < p; ++d)
-      plan.send_offsets_[static_cast<std::size_t>(d) + 1] =
-          plan.send_offsets_[static_cast<std::size_t>(d)] +
-          plan.send_counts_[static_cast<std::size_t>(d)];
-    plan.slot_src_.resize(target_of_slot.size());
-    std::vector<std::size_t> cursor(plan.send_offsets_.begin(),
-                                    plan.send_offsets_.end() - 1);
+    // Counting sort of the cached targets into destination-major slot order
+    // (partners ascending in rank); within a destination, slots stay
+    // ascending in item index. Each partner's offset serves as its cursor
+    // and is rewound afterwards.
+    index.finish(send_);
+    slot_src_.resize(target_of_copy.size());
     for (std::size_t i = 0; i < n_items; ++i)
-      for (std::size_t k = first_slot[i]; k < first_slot[i + 1]; ++k)
-        plan.slot_src_[cursor[static_cast<std::size_t>(target_of_slot[k])]++] =
+      for (std::size_t k = first_copy[i]; k < first_copy[i + 1]; ++k)
+        slot_src_[send_[index.entry(target_of_copy[k])].offset++] =
             static_cast<std::uint32_t>(i);
-    return plan;
+    for (mpi::Partner& e : send_) e.offset -= e.count;
   }
 
   ExchangeKind kind() const { return kind_; }
@@ -110,26 +131,26 @@ class ExchangePlan {
   std::size_t n_send_slots() const { return slot_src_.size(); }
   /// Source item of each outgoing slot, destination-major.
   const std::vector<std::uint32_t>& slot_src() const { return slot_src_; }
-  const std::vector<std::size_t>& send_counts() const { return send_counts_; }
+  /// Send schedule: (destination, first slot, slots), ascending in rank.
+  const mpi::PartnerList& send_partners() const { return send_; }
+  /// Slots this plan sends to `rank` (0 when it is not a partner).
+  std::size_t send_count_to(int rank) const;
   bool counts_known() const { return counts_known_; }
-  const std::vector<std::size_t>& recv_counts() const {
+  /// Receive schedule: (source, first receive slot, slots), ascending in
+  /// rank; receive slots are grouped by source in this order.
+  const mpi::PartnerList& recv_partners() const {
     FCS_CHECK(counts_known_, "ExchangePlan: receive counts not known yet");
-    return recv_counts_;
+    return recv_;
   }
   std::size_t n_recv_total() const {
     FCS_CHECK(counts_known_, "ExchangePlan: receive counts not known yet");
-    return recv_offsets_.back();
+    return n_recv_;
   }
 
   /// Exchange the per-destination counts so the plan becomes applicable:
   /// dense plans use the counts transpose (Bruck alltoall), sparse plans an
   /// NBX-style count exchange. Collective.
   void negotiate(const mpi::Comm& comm);
-
-  /// Supply receive counts the application derived from its own invariants
-  /// (e.g. the fcs resort plan reads them off the origin indices). No
-  /// communication.
-  void set_recv_counts(std::vector<std::size_t> recv_counts);
 
   /// The combined counts+data exchange of the legacy fine-grained path
   /// (counts transpose in-band, then the data exchange) - virtual-time
@@ -143,20 +164,25 @@ class ExchangePlan {
     obs::Span span(o, "redist.exchange.initial");
     mpi::PooledBuffer packed(comm.pool(), slot_src_.size() * sizeof(T), o);
     pack_into(data, sizeof(T), packed.data());
-    scratch_counts(send_counts_, sizeof(T), send_bytes_scratch_);
-    std::vector<std::size_t> recv_bytes;
-    std::vector<std::byte> raw =
-        kind_ == ExchangeKind::kDense
-            ? comm.alltoallv_bytes(packed.data(), send_bytes_scratch_,
-                                   recv_bytes)
-            : comm.sparse_alltoallv_bytes(packed.data(), send_bytes_scratch_,
-                                          recv_bytes);
-    std::vector<std::size_t> rc(recv_bytes.size());
-    for (std::size_t i = 0; i < recv_bytes.size(); ++i) {
-      FCS_ASSERT(recv_bytes[i] % sizeof(T) == 0);
-      rc[i] = recv_bytes[i] / sizeof(T);
+    scale_partners(send_, sizeof(T), send_bytes_);
+    std::vector<std::byte> raw;
+    if (kind_ == ExchangeKind::kDense) {
+      mpi::counts_from_partners(send_bytes_, nranks_, dense_send_bytes_);
+      raw = comm.alltoallv_bytes(packed.data(), dense_send_bytes_,
+                                 dense_recv_bytes_);
+      mpi::partners_from_counts(dense_recv_bytes_, recv_bytes_);
+    } else {
+      comm.sparse_alltoallv_bytes(packed.data(), send_bytes_, recv_bytes_,
+                                  raw);
     }
-    set_recv_counts(std::move(rc));
+    recv_.resize(recv_bytes_.size());
+    for (std::size_t i = 0; i < recv_bytes_.size(); ++i) {
+      FCS_ASSERT(recv_bytes_[i].count % sizeof(T) == 0);
+      recv_[i] = mpi::Partner{recv_bytes_[i].rank,
+                              recv_bytes_[i].offset / sizeof(T),
+                              recv_bytes_[i].count / sizeof(T)};
+    }
+    finish_recv();
     std::vector<T> out(raw.size() / sizeof(T));
     if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
     return out;
@@ -181,8 +207,8 @@ class ExchangePlan {
 
     mpi::PooledBuffer packed(comm.pool(), slot_src_.size() * item_bytes, o);
     pack_into(data, item_bytes, packed.data());
-    scratch_counts(send_counts_, item_bytes, send_bytes_scratch_);
-    scratch_counts(recv_counts_, item_bytes, recv_bytes_scratch_);
+    scale_partners(send_, item_bytes, send_bytes_);
+    scale_partners(recv_, item_bytes, recv_bytes_);
 
     std::vector<T> out(n_recv_total() * components);
     if (placement == nullptr) {
@@ -211,6 +237,7 @@ class ExchangePlan {
 
  private:
   friend class FusedBatch;
+  friend class ResortPlan;
 
   /// Gather payload items into destination-major slot order (one
   /// width-specialized contiguous pass; see sortlib::gather_rows).
@@ -220,16 +247,16 @@ class ExchangePlan {
                          slot_src_.data(), slot_src_.size(), item_bytes);
   }
 
-  /// Counts -> byte counts, into a reused scratch vector.
-  static void scratch_counts(const std::vector<std::size_t>& counts,
-                             std::size_t item_bytes,
-                             std::vector<std::size_t>& out) {
-    out.resize(counts.size());
-    for (std::size_t i = 0; i < counts.size(); ++i)
-      out[i] = counts[i] * item_bytes;
-  }
+  /// Slot schedule -> byte schedule of `item_bytes` per slot.
+  static void scale_partners(const mpi::PartnerList& slots,
+                             std::size_t item_bytes, mpi::PartnerList& out);
 
-  /// The known-counts data exchange on pre-scaled scratch byte counts.
+  /// recv_ holds the receive counts: set their offsets and mark the plan
+  /// applicable.
+  void finish_recv();
+
+  /// The known-counts data exchange on the byte schedules send_bytes_ and
+  /// recv_bytes_ (dense plans expand them to one count per rank first).
   void run_known(const mpi::Comm& comm, const std::byte* packed,
                  std::byte* out) const;
 
@@ -237,14 +264,17 @@ class ExchangePlan {
   int nranks_ = 0;
   std::size_t n_items_ = 0;
   std::vector<std::uint32_t> slot_src_;
-  std::vector<std::size_t> send_counts_;
-  std::vector<std::size_t> send_offsets_;
-  std::vector<std::size_t> recv_counts_;
-  std::vector<std::size_t> recv_offsets_;
+  mpi::PartnerList send_;  // in slots
+  mpi::PartnerList recv_;  // in slots
+  std::size_t n_recv_ = 0;
   bool counts_known_ = false;
-  // Byte-count scratch reused across applies (mutable: caching only).
-  mutable std::vector<std::size_t> send_bytes_scratch_;
-  mutable std::vector<std::size_t> recv_bytes_scratch_;
+  // Byte schedules reused across applies (mutable: caching only), and the
+  // one-count-per-rank expansion only dense plans need, because the dense
+  // exchange keeps MPI_Alltoallv's interface.
+  mutable mpi::PartnerList send_bytes_;
+  mutable mpi::PartnerList recv_bytes_;
+  mutable std::vector<std::size_t> dense_send_bytes_;
+  mutable std::vector<std::size_t> dense_recv_bytes_;
 };
 
 /// Fuses several typed payloads over one ExchangePlan into a single
@@ -349,8 +379,10 @@ class FusedBatch {
   static constexpr std::uint32_t kMagic = 0x46555345;  // "FUSE"
 
   struct AsyncSlab {
-    std::vector<std::size_t> send_bytes, recv_bytes;  // per rank; zero
-                                                      // outside the slab
+    // The slab's partners in byte units (offsets into its own buffers) and
+    // the index of each one's entry in the plan's send/recv schedule.
+    mpi::PartnerList send, recv;
+    std::vector<std::uint32_t> send_entry, recv_entry;
     std::unique_ptr<mpi::PooledBuffer> send_buf, recv_buf;
     std::size_t send_total = 0, recv_total = 0;
     bool packed = false;
@@ -362,6 +394,20 @@ class FusedBatch {
     bool validate = false;
     std::vector<AsyncSlab> slab;
   };
+
+  /// Message bytes of a partner with `items` items: one header plus every
+  /// segment's rows.
+  std::size_t msg_bytes(std::size_t items, std::size_t payload_bytes) const {
+    return items > 0 ? sizeof(Header) + items * payload_bytes : 0;
+  }
+  /// Write partner `e`'s message (header + segments) at `dst`; returns its
+  /// bytes and adds the segments' checksums to *sum when non-null.
+  std::size_t pack_partner(const mpi::Partner& e, std::byte* dst,
+                           std::uint64_t* sum) const;
+  /// Copy partner `e`'s message at `src` out to the segment outputs.
+  std::size_t unpack_partner(const mpi::Partner& e, const std::byte* src,
+                             std::byte* const* out_ptr,
+                             std::uint64_t* sum) const;
 
   const mpi::Comm* comm_;
   const ExchangePlan* plan_;

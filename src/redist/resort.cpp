@@ -4,12 +4,13 @@
 
 namespace redist {
 
-ResortPlan ResortPlan::build(
-    const mpi::Comm& comm, const std::vector<std::uint64_t>& resort_indices,
-    const std::vector<std::uint64_t>& origin_of_current, ExchangeKind kind) {
+void ResortPlan::build(const mpi::Comm& comm,
+                       const std::vector<std::uint64_t>& resort_indices,
+                       const std::vector<std::uint64_t>& origin_of_current,
+                       ExchangeKind kind) {
   const int p = comm.size();
-  ResortPlan rp;
-  rp.plan_ = ExchangePlan::build(
+  valid_ = false;
+  plan_.assign(
       comm, resort_indices.size(),
       [&](std::size_t i, std::vector<int>& targets) {
         targets.push_back(index_rank(resort_indices[i]));
@@ -18,9 +19,9 @@ ResortPlan ResortPlan::build(
 
   // Receive side: sorting the origin indices (source-rank-major, ascending
   // source position within a rank) reproduces the order in which the plan's
-  // slots arrive. The sort also proves the inverse-permutation invariant:
-  // a duplicated origin index means two current elements claim the same
-  // original particle.
+  // slots arrive, so the sources come out as an ascending partner list. The
+  // sort also proves the inverse-permutation invariant: a duplicated origin
+  // index means two current elements claim the same original particle.
   FCS_CHECK(origin_of_current.size() <= 0xffffffffULL,
             "more than 2^32 local particles");
   std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
@@ -29,8 +30,9 @@ ResortPlan ResortPlan::build(
     order.emplace_back(origin_of_current[j], static_cast<std::uint32_t>(j));
   std::sort(order.begin(), order.end());
 
-  std::vector<std::size_t> recv_counts(static_cast<std::size_t>(p), 0);
-  rp.placement_.resize(order.size());
+  mpi::PartnerList& recv = plan_.recv_;
+  recv.clear();
+  placement_.resize(order.size());
   for (std::size_t k = 0; k < order.size(); ++k) {
     const int src = index_rank(order[k].first);
     FCS_CHECK(src >= 0 && src < p,
@@ -39,13 +41,14 @@ ResortPlan ResortPlan::build(
               "resort plan: duplicate origin index "
                   << order[k].first << " (resort indices are not an inverse "
                   "permutation)");
-    ++recv_counts[static_cast<std::size_t>(src)];
-    rp.placement_[k] = order[k].second;
+    if (recv.empty() || recv.back().rank != src)
+      recv.push_back(mpi::Partner{src, 0, 0});
+    ++recv.back().count;
+    placement_[k] = order[k].second;
   }
-  rp.plan_.set_recv_counts(std::move(recv_counts));
-  rp.valid_ = true;
+  plan_.finish_recv();
+  valid_ = true;
   obs::count(comm.ctx().obs(), "redist.resort_plan.builds", 1.0);
-  return rp;
 }
 
 std::vector<std::uint64_t> consecutive_origin_indices(int rank,
@@ -56,9 +59,10 @@ std::vector<std::uint64_t> consecutive_origin_indices(int rank,
   return indices;
 }
 
-std::vector<std::uint64_t> invert_origin_indices(
-    const mpi::Comm& comm, const std::vector<std::uint64_t>& origin_of_current,
-    std::size_t n_original, ExchangeKind kind) {
+void invert_origin_indices(const mpi::Comm& comm,
+                           const std::vector<std::uint64_t>& origin_of_current,
+                           std::size_t n_original, ExchangeKind kind,
+                           std::vector<std::uint64_t>& resort_indices) {
   struct Packet {
     std::uint64_t origin;   // where the particle came from
     std::uint64_t current;  // where it is now
@@ -79,7 +83,7 @@ std::vector<std::uint64_t> invert_origin_indices(
   FCS_CHECK(received.size() == n_original,
             "invert: expected " << n_original << " indices, received "
                                 << received.size());
-  std::vector<std::uint64_t> resort_indices(n_original, ~std::uint64_t{0});
+  resort_indices.assign(n_original, ~std::uint64_t{0});
   for (const Packet& pk : received) {
     const std::uint32_t pos = index_pos(pk.origin);
     FCS_CHECK(pos < n_original, "invert: origin position out of range");
@@ -87,7 +91,6 @@ std::vector<std::uint64_t> invert_origin_indices(
               "invert: duplicate origin position " << pos);
     resort_indices[pos] = pk.current;
   }
-  return resort_indices;
 }
 
 void resort_values_bytes(const mpi::Comm& comm,
@@ -95,37 +98,55 @@ void resort_values_bytes(const mpi::Comm& comm,
                          const std::byte* data, std::size_t item_bytes,
                          std::size_t n_changed, ExchangeKind kind,
                          std::vector<std::byte>& out) {
+  out.resize(n_changed * item_bytes);
+  detail::resort_rows(comm, resort_indices, data, item_bytes, n_changed, kind,
+                      out.data());
+}
+
+namespace detail {
+
+void resort_rows(const mpi::Comm& comm,
+                 const std::vector<std::uint64_t>& resort_indices,
+                 const std::byte* data, std::size_t item_bytes,
+                 std::size_t n_changed, ExchangeKind kind, std::byte* out) {
   const int p = comm.size();
   const std::size_t elem_bytes = sizeof(std::uint32_t) + item_bytes;
 
-  std::vector<std::size_t> send_bytes(static_cast<std::size_t>(p), 0);
-  for (std::uint64_t idx : resort_indices) {
-    const int r = index_rank(idx);
-    FCS_CHECK(r >= 0 && r < p, "resort index names invalid rank " << r);
-    send_bytes[static_cast<std::size_t>(r)] += elem_bytes;
+  // Count packet bytes per destination partner; the live index maps each
+  // packet's rank to its partner in O(1), so packing costs
+  // O(items + partners).
+  mpi::PartnerList sends;
+  std::vector<std::byte> packed(resort_indices.size() * elem_bytes);
+  {
+    mpi::PartnerIndex index(comm);
+    for (std::uint64_t idx : resort_indices) {
+      const int r = index_rank(idx);
+      FCS_CHECK(r >= 0 && r < p, "resort index names invalid rank " << r);
+      index.add(r, elem_bytes, sends);
+    }
+    index.finish(sends);
+    for (std::size_t i = 0; i < resort_indices.size(); ++i) {
+      const std::uint64_t idx = resort_indices[i];
+      std::size_t& c = sends[index.entry(index_rank(idx))].offset;
+      const std::uint32_t pos = index_pos(idx);
+      std::memcpy(packed.data() + c, &pos, sizeof pos);
+      std::memcpy(packed.data() + c + sizeof pos, data + i * item_bytes,
+                  item_bytes);
+      c += elem_bytes;
+    }
   }
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int d = 0; d < p; ++d)
-    offsets[static_cast<std::size_t>(d) + 1] =
-        offsets[static_cast<std::size_t>(d)] +
-        send_bytes[static_cast<std::size_t>(d)];
-  std::vector<std::byte> packed(offsets.back());
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < resort_indices.size(); ++i) {
-    const std::uint64_t idx = resort_indices[i];
-    std::size_t& c = cursor[static_cast<std::size_t>(index_rank(idx))];
-    const std::uint32_t pos = index_pos(idx);
-    std::memcpy(packed.data() + c, &pos, sizeof pos);
-    std::memcpy(packed.data() + c + sizeof pos, data + i * item_bytes,
-                item_bytes);
-    c += elem_bytes;
-  }
+  for (mpi::Partner& e : sends) e.offset -= e.count;
 
-  std::vector<std::size_t> recv_bytes;
-  std::vector<std::byte> received =
-      kind == ExchangeKind::kDense
-          ? comm.alltoallv_bytes(packed.data(), send_bytes, recv_bytes)
-          : comm.sparse_alltoallv_bytes(packed.data(), send_bytes, recv_bytes);
+  std::vector<std::byte> received;
+  if (kind == ExchangeKind::kDense) {
+    std::vector<std::size_t> send_bytes;
+    std::vector<std::size_t> recv_bytes;
+    mpi::counts_from_partners(sends, p, send_bytes);
+    received = comm.alltoallv_bytes(packed.data(), send_bytes, recv_bytes);
+  } else {
+    mpi::PartnerList recvs;
+    comm.sparse_alltoallv_bytes(packed.data(), sends, recvs, received);
+  }
   if (validation_enabled())
     validate_exchange(
         comm, "resort_values", packed.size() / elem_bytes,
@@ -137,7 +158,6 @@ void resort_values_bytes(const mpi::Comm& comm,
   FCS_CHECK(received.size() == n_changed * elem_bytes,
             "resort: expected " << n_changed << " packets, received "
                                 << received.size() / elem_bytes);
-  out.resize(n_changed * item_bytes);
   std::vector<char> filled(n_changed, 0);
   for (std::size_t off = 0; off < received.size(); off += elem_bytes) {
     std::uint32_t pos = 0;
@@ -146,9 +166,11 @@ void resort_values_bytes(const mpi::Comm& comm,
                   << " out of range " << n_changed);
     FCS_CHECK(!filled[pos], "resort: duplicate packet for position " << pos);
     filled[pos] = 1;
-    std::memcpy(out.data() + pos * item_bytes,
-                received.data() + off + sizeof pos, item_bytes);
+    std::memcpy(out + pos * item_bytes, received.data() + off + sizeof pos,
+                item_bytes);
   }
 }
+
+}  // namespace detail
 
 }  // namespace redist

@@ -77,11 +77,22 @@ std::vector<T> restore_to_origin(const mpi::Comm& comm,
 
 /// METHOD B resort-index creation (paper Figure 5): given each CURRENT
 /// element's origin index, deliver to every ORIGINAL location the index of
-/// the element's current location. Result[i] on the origin rank says where
-/// original particle i now lives.
-std::vector<std::uint64_t> invert_origin_indices(
+/// the element's current location. resort_indices[i] on the origin rank says
+/// where original particle i now lives; the vector is rebuilt in place.
+void invert_origin_indices(const mpi::Comm& comm,
+                           const std::vector<std::uint64_t>& origin_of_current,
+                           std::size_t n_original, ExchangeKind kind,
+                           std::vector<std::uint64_t>& resort_indices);
+
+/// invert_origin_indices into a new vector.
+inline std::vector<std::uint64_t> invert_origin_indices(
     const mpi::Comm& comm, const std::vector<std::uint64_t>& origin_of_current,
-    std::size_t n_original, ExchangeKind kind);
+    std::size_t n_original, ExchangeKind kind) {
+  std::vector<std::uint64_t> resort_indices;
+  invert_origin_indices(comm, origin_of_current, n_original, kind,
+                        resort_indices);
+  return resort_indices;
+}
 
 /// Reusable method-B resort schedule, built once per fcs_run with ZERO
 /// communication: the send side comes straight from the resort indices
@@ -97,14 +108,15 @@ class ResortPlan {
  public:
   ResortPlan() = default;
 
-  /// Collective only in the trivial sense (all ranks build); no messages.
-  /// Verifies the inverse-permutation invariant on the receive side: every
-  /// origin index must be unique, i.e. the placement is a permutation of
-  /// the current elements.
-  static ResortPlan build(const mpi::Comm& comm,
-                          const std::vector<std::uint64_t>& resort_indices,
-                          const std::vector<std::uint64_t>& origin_of_current,
-                          ExchangeKind kind);
+  /// (Re)build the plan in place, reusing its storage. Collective only in
+  /// the trivial sense (all ranks build); no messages. Verifies the
+  /// inverse-permutation invariant on the receive side: every origin index
+  /// must be unique, i.e. the placement is a permutation of the current
+  /// elements.
+  void build(const mpi::Comm& comm,
+             const std::vector<std::uint64_t>& resort_indices,
+             const std::vector<std::uint64_t>& origin_of_current,
+             ExchangeKind kind);
 
   bool valid() const { return valid_; }
   void reset() { valid_ = false; }
@@ -133,12 +145,24 @@ class ResortPlan {
   bool valid_ = false;
 };
 
-/// Byte-generic twin of resort_values for the particle store's untyped
-/// columns: one `item_bytes` row per original particle instead of
-/// `components` values of T. The packet layout (4-byte position header +
-/// payload) and the exchange are exactly those of resort_values, so for any
-/// T with components * sizeof(T) == item_bytes the result bytes are
-/// identical. `out` is resized to n_changed rows.
+namespace detail {
+
+/// The resort exchange both entry points below share: packs one 4-byte
+/// target position + `item_bytes` row per original particle, moves the
+/// packets to their target ranks and writes each row to `out` (n_changed
+/// rows) at its target position.
+void resort_rows(const mpi::Comm& comm,
+                 const std::vector<std::uint64_t>& resort_indices,
+                 const std::byte* data, std::size_t item_bytes,
+                 std::size_t n_changed, ExchangeKind kind, std::byte* out);
+
+}  // namespace detail
+
+/// Byte-generic resort_values for the particle store's untyped columns: one
+/// `item_bytes` row per original particle instead of `components` values of
+/// T. Both run detail::resort_rows, so for any T with
+/// components * sizeof(T) == item_bytes the result bytes are identical.
+/// `out` is resized to n_changed rows.
 void resort_values_bytes(const mpi::Comm& comm,
                          const std::vector<std::uint64_t>& resort_indices,
                          const std::byte* data, std::size_t item_bytes,
@@ -160,59 +184,11 @@ std::vector<T> resort_values(const mpi::Comm& comm,
             "resort: data size " << data.size() << " != " << components
                                  << " components x " << resort_indices.size()
                                  << " particles");
-  const int p = comm.size();
-  const std::size_t elem_bytes = sizeof(std::uint32_t) + components * sizeof(T);
-
-  std::vector<std::size_t> send_bytes(static_cast<std::size_t>(p), 0);
-  for (std::uint64_t idx : resort_indices) {
-    const int r = index_rank(idx);
-    FCS_CHECK(r >= 0 && r < p, "resort index names invalid rank " << r);
-    send_bytes[static_cast<std::size_t>(r)] += elem_bytes;
-  }
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int d = 0; d < p; ++d)
-    offsets[static_cast<std::size_t>(d) + 1] =
-        offsets[static_cast<std::size_t>(d)] + send_bytes[static_cast<std::size_t>(d)];
-  std::vector<std::byte> packed(offsets.back());
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < resort_indices.size(); ++i) {
-    const std::uint64_t idx = resort_indices[i];
-    std::size_t& c = cursor[static_cast<std::size_t>(index_rank(idx))];
-    const std::uint32_t pos = index_pos(idx);
-    std::memcpy(packed.data() + c, &pos, sizeof pos);
-    std::memcpy(packed.data() + c + sizeof pos, data.data() + i * components,
-                components * sizeof(T));
-    c += elem_bytes;
-  }
-
-  std::vector<std::size_t> recv_bytes;
-  std::vector<std::byte> received =
-      kind == ExchangeKind::kDense
-          ? comm.alltoallv_bytes(packed.data(), send_bytes, recv_bytes)
-          : comm.sparse_alltoallv_bytes(packed.data(), send_bytes, recv_bytes);
-  if (validation_enabled())
-    validate_exchange(
-        comm, "resort_values", packed.size() / elem_bytes,
-        content_checksum(packed.data(), packed.size() / elem_bytes, elem_bytes),
-        received.size() / elem_bytes,
-        content_checksum(received.data(), received.size() / elem_bytes,
-                         elem_bytes));
-
-  FCS_CHECK(received.size() == n_changed * elem_bytes,
-            "resort: expected " << n_changed << " packets, received "
-                                << received.size() / elem_bytes);
   std::vector<T> out(n_changed * components);
-  std::vector<char> filled(n_changed, 0);
-  for (std::size_t off = 0; off < received.size(); off += elem_bytes) {
-    std::uint32_t pos = 0;
-    std::memcpy(&pos, received.data() + off, sizeof pos);
-    FCS_CHECK(pos < n_changed, "resort: target position " << pos
-                  << " out of range " << n_changed);
-    FCS_CHECK(!filled[pos], "resort: duplicate packet for position " << pos);
-    filled[pos] = 1;
-    std::memcpy(out.data() + pos * components,
-                received.data() + off + sizeof pos, components * sizeof(T));
-  }
+  detail::resort_rows(comm, resort_indices,
+                      reinterpret_cast<const std::byte*>(data.data()),
+                      components * sizeof(T), n_changed, kind,
+                      reinterpret_cast<std::byte*>(out.data()));
   return out;
 }
 

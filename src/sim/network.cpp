@@ -54,16 +54,9 @@ TorusNetwork::TorusNetwork(std::vector<int> dims, double base_latency,
   for (int d : dims_) FCS_CHECK(d >= 1, "torus dimension must be >= 1");
 }
 
-void TorusNetwork::coords_of(int rank, std::vector<int>& coords) const {
-  coords.resize(dims_.size());
-  for (std::size_t i = dims_.size(); i-- > 0;) {
-    coords[i] = rank % dims_[i];
-    rank /= dims_[i];
-  }
-}
-
 int TorusNetwork::hops(int src, int dst) const {
-  // Per-axis coordinates peeled off row-major, as in coords_of.
+  // Per-axis coordinates peeled off row-major: the last axis varies
+  // fastest, so rank % dims_.back() is the last coordinate.
   int h = 0;
   for (std::size_t i = dims_.size(); i-- > 0;) {
     const int d = std::abs(src % dims_[i] - dst % dims_[i]);

@@ -112,8 +112,6 @@ class TorusNetwork final : public NetworkModel {
   static std::vector<int> balanced_dims(int nranks, int ndims);
 
  private:
-  void coords_of(int rank, std::vector<int>& coords) const;
-
   std::vector<int> dims_;
   double base_latency_;
   double hop_latency_;

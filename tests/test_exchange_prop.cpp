@@ -352,8 +352,8 @@ TEST_P(ResortProp, ResortIndicesStayInversePermutationUnderGhosts) {
 
     const std::vector<std::uint64_t> resort_indices =
         redist::invert_origin_indices(c, origin_of_current, n, kind);
-    const redist::ResortPlan rp =
-        redist::ResortPlan::build(c, resort_indices, origin_of_current, kind);
+    redist::ResortPlan rp;
+    rp.build(c, resort_indices, origin_of_current, kind);
     ASSERT_TRUE(rp.valid());
     ASSERT_EQ(rp.n_changed(), origin_of_current.size());
 

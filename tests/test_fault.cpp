@@ -246,9 +246,11 @@ TEST(Conservation, RedistributionPathsConserveUnderFaults) {
     for (int d = 0; d < p; ++d)
       for (std::size_t k = 0; k < send_counts[static_cast<std::size_t>(d)]; ++k)
         data.push_back(r * 100.0 + d);
-    std::vector<std::size_t> rcounts;
+    mpi::PartnerList sends;
+    mpi::PartnerList recvs;
+    mpi::partners_from_counts(send_counts, sends);
     const std::vector<double> got = redist::neighborhood_alltoallv(
-        c, neighbors, data.data(), send_counts, rcounts);
+        c, neighbors, data.data(), sends, recvs);
     std::size_t expect_total = 1;
     for (int n : neighbors) {
       (void)n;

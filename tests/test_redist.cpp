@@ -43,13 +43,13 @@ TEST_P(Redist, FineGrainedMovesToComputedTarget) {
     auto target_of = [p](const Particle& pt) {
       return static_cast<int>(pt.x) % p;
     };
-    std::vector<std::size_t> recv_counts;
+    mpi::PartnerList sources;
     auto received = redist::fine_grained_redistribute(
         c, items,
         [&](const Particle& pt, std::size_t, std::vector<int>& t) {
           t.push_back(target_of(pt));
         },
-        kind, &recv_counts);
+        kind, &sources);
     for (const Particle& pt : received) EXPECT_EQ(target_of(pt), c.rank());
     // Conservation.
     const auto total_in =
@@ -57,9 +57,20 @@ TEST_P(Redist, FineGrainedMovesToComputedTarget) {
     const auto total_out =
         c.allreduce(static_cast<std::uint64_t>(received.size()), mpi::OpSum{});
     EXPECT_EQ(total_in, total_out);
-    // recv_counts consistency.
+    // Source list consistency: ascending sources, packed offsets, and each
+    // source's block holds exactly the elements it sent.
     std::size_t sum = 0;
-    for (std::size_t n : recv_counts) sum += n;
+    for (std::size_t k = 0; k < sources.size(); ++k) {
+      if (k > 0) {
+        EXPECT_LT(sources[k - 1].rank, sources[k].rank);
+      }
+      EXPECT_EQ(sources[k].offset, sum);
+      EXPECT_GT(sources[k].count, 0u);
+      for (std::size_t e = 0; e < sources[k].count; ++e)
+        EXPECT_EQ(redist::index_rank(received[sum + e].origin),
+                  sources[k].rank);
+      sum += sources[k].count;
+    }
     EXPECT_EQ(sum, received.size());
   });
 }
@@ -341,20 +352,18 @@ TEST(Neighborhood, RejectsInvalidNeighborRank) {
       2,
       [](mpi::Comm& c) {
         std::vector<int> neighbors = {5};  // outside the communicator
-        std::vector<std::size_t> counts(2, 0);
         std::vector<int> data;
-        std::vector<std::size_t> rc;
-        redist::neighborhood_alltoallv(c, neighbors, data.data(), counts, rc);
+        mpi::PartnerList recvs;
+        redist::neighborhood_alltoallv(c, neighbors, data.data(), {}, recvs);
       },
       "invalid neighbor rank");
   expect_error_containing(
       2,
       [](mpi::Comm& c) {
         std::vector<int> neighbors = {c.rank()};  // self is not a neighbor
-        std::vector<std::size_t> counts(2, 0);
         std::vector<int> data;
-        std::vector<std::size_t> rc;
-        redist::neighborhood_alltoallv(c, neighbors, data.data(), counts, rc);
+        mpi::PartnerList recvs;
+        redist::neighborhood_alltoallv(c, neighbors, data.data(), {}, recvs);
       },
       "invalid neighbor rank");
 }
@@ -364,11 +373,11 @@ TEST(Neighborhood, NonNeighborMessageNamesTheRank) {
       4,
       [](mpi::Comm& c) {
         std::vector<int> neighbors = {(c.rank() + 1) % 4};
-        std::vector<std::size_t> counts(4, 0);
-        counts[static_cast<std::size_t>((c.rank() + 2) % 4)] = 1;
+        const mpi::PartnerList sends = {mpi::Partner{(c.rank() + 2) % 4, 0, 1}};
         std::vector<int> data = {7};
-        std::vector<std::size_t> rc;
-        redist::neighborhood_alltoallv(c, neighbors, data.data(), counts, rc);
+        mpi::PartnerList recvs;
+        redist::neighborhood_alltoallv(c, neighbors, data.data(), sends,
+                                       recvs);
       },
       "data for non-neighbor rank");
 }
@@ -385,15 +394,22 @@ TEST(Neighborhood, ExchangesOnlyWithNeighbors) {
     std::size_t total = 0;
     for (auto n : send_counts) total += n;
     payload.assign(total, c.rank());
-    std::vector<std::size_t> recv_counts;
+    mpi::PartnerList sends;
+    mpi::PartnerList recvs;
+    mpi::partners_from_counts(send_counts, sends);
     auto got = redist::neighborhood_alltoallv(c, neighbors, payload.data(),
-                                              send_counts, recv_counts);
-    // Everything received must come from a neighbor and carry its rank.
+                                              sends, recvs);
+    // Everything received must come from a neighbor, carry its rank, and
+    // land in ascending source order.
     std::size_t pos = 0;
-    for (int src = 0; src < 8; ++src) {
-      for (std::size_t k = 0; k < recv_counts[static_cast<std::size_t>(src)]; ++k)
-        EXPECT_EQ(got[pos++], src);
+    for (const mpi::Partner& src : recvs) {
+      EXPECT_TRUE(std::binary_search(neighbors.begin(), neighbors.end(),
+                                     src.rank));
+      EXPECT_EQ(src.offset, pos);
+      for (std::size_t k = 0; k < src.count; ++k)
+        EXPECT_EQ(got[pos++], src.rank);
     }
+    EXPECT_EQ(recvs.size(), neighbors.size());
     EXPECT_EQ(pos, got.size());
   });
 }
@@ -403,12 +419,12 @@ TEST(Neighborhood, RejectsDataForNonNeighbor) {
       run_ranks(4,
                 [](mpi::Comm& c) {
                   std::vector<int> neighbors = {(c.rank() + 1) % 4};
-                  std::vector<std::size_t> counts(4, 0);
-                  counts[static_cast<std::size_t>((c.rank() + 2) % 4)] = 1;
+                  const mpi::PartnerList sends = {
+                      mpi::Partner{(c.rank() + 2) % 4, 0, 1}};
                   std::vector<int> data = {7};
-                  std::vector<std::size_t> rc;
+                  mpi::PartnerList recvs;
                   redist::neighborhood_alltoallv(c, neighbors, data.data(),
-                                                 counts, rc);
+                                                 sends, recvs);
                 }),
       fcs::Error);
 }
@@ -423,13 +439,12 @@ TEST(Neighborhood, AllRanksSilentCompletesWithoutTraffic) {
     std::sort(neighbors.begin(), neighbors.end());
     neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
                     neighbors.end());
-    std::vector<std::size_t> counts(static_cast<std::size_t>(p), 0);
     std::vector<double> data;
-    std::vector<std::size_t> rc;
-    auto got = redist::neighborhood_alltoallv(c, neighbors, data.data(),
-                                              counts, rc);
+    mpi::PartnerList recvs;
+    auto got =
+        redist::neighborhood_alltoallv(c, neighbors, data.data(), {}, recvs);
     EXPECT_TRUE(got.empty());
-    for (std::size_t n : rc) EXPECT_EQ(n, 0u);
+    EXPECT_TRUE(recvs.empty());
   });
 }
 
@@ -438,12 +453,11 @@ TEST(Neighborhood, EmptyNeighborListKeepsSelfDataOnly) {
   // may pass an empty neighbor list; local data still passes through.
   run_ranks(3, [](mpi::Comm& c) {
     std::vector<int> neighbors;
-    std::vector<std::size_t> counts(3, 0);
-    counts[static_cast<std::size_t>(c.rank())] = 1;
+    const mpi::PartnerList sends = {mpi::Partner{c.rank(), 0, 1}};
     std::vector<int> data = {c.rank()};
-    std::vector<std::size_t> rc;
+    mpi::PartnerList recvs;
     auto got = redist::neighborhood_alltoallv(c, neighbors, data.data(),
-                                              counts, rc);
+                                              sends, recvs);
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0], c.rank());
   });
@@ -462,12 +476,11 @@ TEST(Neighborhood, SecondShellNeighborListCarriesMultiHopTraffic) {
     EXPECT_EQ(near.size(), 2u);
     EXPECT_EQ(wide.size(), 4u);
     const int two_away = (c.rank() + 2) % 5;
-    std::vector<std::size_t> counts(5, 0);
-    counts[static_cast<std::size_t>(two_away)] = 1;
+    const mpi::PartnerList sends = {mpi::Partner{two_away, 0, 1}};
     std::vector<int> data = {10 * c.rank()};
-    std::vector<std::size_t> rc;
+    mpi::PartnerList recvs;
     auto got =
-        redist::neighborhood_alltoallv(c, wide, data.data(), counts, rc);
+        redist::neighborhood_alltoallv(c, wide, data.data(), sends, recvs);
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0], 10 * ((c.rank() + 3) % 5));
   });
@@ -476,12 +489,12 @@ TEST(Neighborhood, SecondShellNeighborListCarriesMultiHopTraffic) {
 TEST(Neighborhood, SelfDataPassesThrough) {
   run_ranks(2, [](mpi::Comm& c) {
     std::vector<int> neighbors = {1 - c.rank()};
-    std::vector<std::size_t> counts(2, 0);
-    counts[static_cast<std::size_t>(c.rank())] = 2;  // keep two locally
+    // Keep two locally.
+    const mpi::PartnerList sends = {mpi::Partner{c.rank(), 0, 2}};
     std::vector<int> data = {10 + c.rank(), 20 + c.rank()};
-    std::vector<std::size_t> rc;
+    mpi::PartnerList recvs;
     auto got = redist::neighborhood_alltoallv(c, neighbors, data.data(),
-                                              counts, rc);
+                                              sends, recvs);
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[0], 10 + c.rank());
     EXPECT_EQ(got[1], 20 + c.rank());
@@ -581,15 +594,15 @@ TEST_P(ExtremeSkew, NeighborhoodWithOnlyOneActiveSender) {
     std::sort(neighbors.begin(), neighbors.end());
     neighbors.erase(std::unique(neighbors.begin(), neighbors.end()),
                     neighbors.end());
-    std::vector<std::size_t> counts(static_cast<std::size_t>(p), 0);
+    mpi::PartnerList sends;
     std::vector<int> data;
     if (c.rank() == 0) {
-      counts[1] = 3;
+      sends.push_back(mpi::Partner{1, 0, 3});
       data.assign(3, 42);
     }
-    std::vector<std::size_t> rc;
+    mpi::PartnerList recvs;
     auto got =
-        redist::neighborhood_alltoallv(c, neighbors, data.data(), counts, rc);
+        redist::neighborhood_alltoallv(c, neighbors, data.data(), sends, recvs);
     if (c.rank() == 1) {
       ASSERT_EQ(got.size(), 3u);
       for (int v : got) EXPECT_EQ(v, 42);

@@ -219,8 +219,8 @@ TEST_P(StoreProp, CarriedExchangeMatchesPerFieldPlanBitwise) {
     const std::vector<std::uint64_t> resort_indices =
         redist::invert_origin_indices(c, recv_origin, n, kind);
     ASSERT_EQ(resort_indices.size(), n);
-    const redist::ResortPlan rp =
-        redist::ResortPlan::build(c, resort_indices, recv_origin, kind);
+    redist::ResortPlan rp;
+    rp.build(c, resort_indices, recv_origin, kind);
     ASSERT_TRUE(rp.valid());
     ASSERT_EQ(rp.n_changed(), nr);
     std::vector<char> hit(nr, 0);

@@ -164,35 +164,20 @@ TEST(AsyncCollectives, IAlltoallvMatchesBlockingDenseAndSparse) {
     std::vector<std::size_t> recv_blocking;
     const std::vector<std::byte> blocking =
         c.alltoallv_bytes(in.data(), send_bytes, recv_blocking);
-
-    std::vector<std::size_t> recv_async;
-    std::vector<std::byte> async_out;
-    mpi::Request rq =
-        c.ialltoallv_bytes(in.data(), send_bytes, &recv_async, &async_out);
-    rq.wait();
-    EXPECT_EQ(recv_async, recv_blocking);
-    EXPECT_EQ(async_out, blocking);
-
     std::vector<std::size_t> recv_sparse;
     const std::vector<std::byte> sparse =
         c.sparse_alltoallv_bytes(in.data(), send_bytes, recv_sparse);
-    std::vector<std::size_t> recv_isparse;
-    std::vector<std::byte> isparse_out;
-    mpi::Request srq = c.isparse_alltoallv_bytes(in.data(), send_bytes,
-                                                 &recv_isparse, &isparse_out);
-    srq.wait();
-    EXPECT_EQ(recv_isparse, recv_sparse);
-    EXPECT_EQ(isparse_out, sparse);
+    EXPECT_EQ(recv_sparse, recv_blocking);
+    EXPECT_EQ(sparse, blocking);
 
-    // Known-counts variants against the same payloads.
-    std::vector<std::byte> known_out(blocking.size());
-    mpi::Request krq = c.ialltoallv_bytes_known(in.data(), send_bytes,
-                                                recv_blocking, known_out.data());
-    krq.wait();
-    EXPECT_EQ(known_out, blocking);
+    // Known-counts async exchange against the same payloads.
+    mpi::PartnerList sends;
+    mpi::PartnerList recvs;
+    mpi::partners_from_counts(send_bytes, sends);
+    mpi::partners_from_counts(recv_sparse, recvs);
     std::vector<std::byte> sknown_out(sparse.size());
     mpi::Request skrq = c.isparse_alltoallv_bytes_known(
-        in.data(), send_bytes, recv_sparse, sknown_out.data());
+        in.data(), sends, recvs, sknown_out.data());
     skrq.wait();
     EXPECT_EQ(sknown_out, sparse);
   });
@@ -230,8 +215,7 @@ TEST(TaskExecutor, OverlapsExchangeFlightWithCompute) {
   run_ranks(2, [](mpi::Comm& c) {
     const std::size_t bytes = 1 << 20;
     std::vector<std::byte> in(bytes, std::byte{0x5a});
-    std::vector<std::size_t> send(2, 0);
-    send[static_cast<std::size_t>(1 - c.rank())] = bytes;
+    const mpi::PartnerList send = {mpi::Partner{1 - c.rank(), 0, bytes}};
     std::vector<std::byte> out(bytes);
     bool finished = false;
 
@@ -261,8 +245,7 @@ TEST(TaskExecutor, BlocksHonestlyWhenNothingOverlaps) {
   run_ranks(2, [](mpi::Comm& c) {
     const std::size_t bytes = 1 << 20;
     std::vector<std::byte> in(bytes, std::byte{0x11});
-    std::vector<std::size_t> send(2, 0);
-    send[static_cast<std::size_t>(1 - c.rank())] = bytes;
+    const mpi::PartnerList send = {mpi::Partner{1 - c.rank(), 0, bytes}};
     std::vector<std::byte> out(bytes);
 
     task::Graph g;
@@ -285,10 +268,9 @@ TEST(TaskExecutor, EmitsObsSpansAndCounters) {
   cfg.recorder = rec;
   sim::run_spmd(cfg, [](sim::RankCtx& ctx) {
     mpi::Comm c = mpi::Comm::world(ctx);
-    std::vector<std::size_t> send(2, 0);
+    const mpi::PartnerList send = {mpi::Partner{1 - c.rank(), 0, 1}};
     std::byte in{0x1};
     std::byte out{0x0};
-    send[static_cast<std::size_t>(1 - c.rank())] = 1;
     task::Graph g;
     g.add_comm("xchg.0", [&] {
       return c.isparse_alltoallv_bytes_known(&in, send, send, &out);
@@ -318,11 +300,13 @@ TEST(TaskExecutor, ScheduleIsDeterministicAcrossRuns) {
     std::vector<double> stats;
     run_ranks(3, [&stats](mpi::Comm& c) {
       const int p = c.size();
-      std::vector<std::size_t> send(static_cast<std::size_t>(p), 64);
-      send[static_cast<std::size_t>(c.rank())] = 0;
+      std::vector<std::size_t> counts(static_cast<std::size_t>(p), 64);
+      counts[static_cast<std::size_t>(c.rank())] = 0;
       std::vector<std::byte> in(64 * static_cast<std::size_t>(p));
       std::vector<std::byte> out(in.size());
-      std::vector<std::size_t> recv = send;
+      mpi::PartnerList send;
+      mpi::partners_from_counts(counts, send);
+      const mpi::PartnerList recv = send;
 
       task::Graph g;
       const task::NodeId pack =
