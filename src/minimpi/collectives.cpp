@@ -418,64 +418,29 @@ std::vector<std::byte> Comm::alltoallv_bytes(
   return out;
 }
 
-void Comm::alltoallv_bytes_known(const void* in,
-                                 const std::vector<std::size_t>& send_bytes,
-                                 const std::vector<std::size_t>& recv_bytes,
-                                 void* out) const {
+void Comm::alltoallv_bytes_known(const void* in, const PartnerList& sends,
+                                 const PartnerList& recvs, void* out) const {
   obs::Span span(ctx_->obs(), "mpi.alltoallv_known");
   obs::count(ctx_->obs(), "mpi.alltoallv_known.calls", 1.0);
   const int p = size();
   const int r = rank();
-  FCS_CHECK(static_cast<int>(send_bytes.size()) == p &&
-                static_cast<int>(recv_bytes.size()) == p,
-            "alltoallv_known needs one send and one recv size per rank");
+  detail::check_partners(sends, p, "alltoallv_known");
+  detail::check_partners(recvs, p, "alltoallv_known");
   const std::uint64_t tag = next_collective_tag(kOpAlltoallv);
 
   // Same fabric model as the data phase of alltoallv_bytes: the dense
   // exchange touches every pair and contends for the bisection; only the
   // counts transpose is gone because both sides already know the sizes.
   std::size_t total_send = 0;
-  for (int i = 0; i < p; ++i)
-    if (i != r) total_send += send_bytes[static_cast<std::size_t>(i)];
+  for (const Partner& s : sends)
+    if (s.rank != r) total_send += s.count;
   obs::count(ctx_->obs(), "mpi.alltoallv_known.bytes",
              static_cast<double>(total_send));
   ctx_->advance(
       ctx_->config().network->dense_exchange_latency(ctx_->rank(), p) +
       static_cast<double>(total_send) *
           ctx_->config().network->dense_exchange_byte_time(p));
-
-  std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);
-  std::vector<std::size_t> recv_offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int i = 0; i < p; ++i) {
-    send_offsets[static_cast<std::size_t>(i) + 1] =
-        send_offsets[static_cast<std::size_t>(i)] + send_bytes[static_cast<std::size_t>(i)];
-    recv_offsets[static_cast<std::size_t>(i) + 1] =
-        recv_offsets[static_cast<std::size_t>(i)] + recv_bytes[static_cast<std::size_t>(i)];
-  }
-  FCS_CHECK(send_bytes[static_cast<std::size_t>(r)] ==
-                recv_bytes[static_cast<std::size_t>(r)],
-            "alltoallv_known: self send/recv size mismatch");
-
-  if (send_bytes[static_cast<std::size_t>(r)] > 0)
-    std::memcpy(as_bytes(out) + recv_offsets[static_cast<std::size_t>(r)],
-                as_bytes(in) + send_offsets[static_cast<std::size_t>(r)],
-                send_bytes[static_cast<std::size_t>(r)]);
-
-  for (int i = 0; i < p; ++i) {
-    if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    ctx_->send(world_rank(i), tag,
-               as_bytes(in) + send_offsets[static_cast<std::size_t>(i)],
-               send_bytes[static_cast<std::size_t>(i)]);
-  }
-  for (int i = 0; i < p; ++i) {
-    if (i == r || recv_bytes[static_cast<std::size_t>(i)] == 0) continue;
-    sim::RankCtx::RecvInfo info =
-        ctx_->recv(world_rank(i), static_cast<std::int64_t>(tag));
-    FCS_CHECK(info.payload.size() == recv_bytes[static_cast<std::size_t>(i)],
-              "alltoallv_known data size mismatch from rank " << i);
-    std::memcpy(as_bytes(out) + recv_offsets[static_cast<std::size_t>(i)],
-                info.payload.data(), info.payload.size());
-  }
+  move_known(in, sends, recvs, out, tag, "alltoallv_known");
 }
 
 void Comm::sparse_alltoallv_bytes_known(const void* in,
@@ -499,7 +464,14 @@ void Comm::sparse_alltoallv_bytes_known(const void* in,
     o->add("mpi.sparse_alltoallv_known.partners", partners);
   }
   const std::uint64_t tag = next_collective_tag(kOpSparse);
-  detail::copy_self_block(in, sends, recvs, out, r, "sparse_alltoallv_known");
+  move_known(in, sends, recvs, out, tag, "sparse_alltoallv_known");
+}
+
+void Comm::move_known(const void* in, const PartnerList& sends,
+                      const PartnerList& recvs, void* out, std::uint64_t tag,
+                      const char* op) const {
+  const int r = rank();
+  detail::copy_self_block(in, sends, recvs, out, r, op);
 
   // Both partner sets are known from the plan, so no NBX barrier is needed:
   // sends are eager, and each expected message is received directly.
@@ -512,8 +484,7 @@ void Comm::sparse_alltoallv_bytes_known(const void* in,
     sim::RankCtx::RecvInfo info =
         ctx_->recv(world_rank(e.rank), static_cast<std::int64_t>(tag));
     FCS_CHECK(info.payload.size() == e.count,
-              "sparse_alltoallv_known data size mismatch from rank "
-                  << e.rank);
+              op << " data size mismatch from rank " << e.rank);
     std::memcpy(as_bytes(out) + e.offset, info.payload.data(),
                 info.payload.size());
   }

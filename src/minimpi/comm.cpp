@@ -214,16 +214,7 @@ PartnerIndex::~PartnerIndex() {
 }
 
 void PartnerIndex::finish(PartnerList& list) {
-  // Order the claimed ranks: sorting k of them costs O(k log k), walking the
-  // table O(P); a list with many partners takes the walk, so the cost stays
-  // O(partners) either way.
-  if (ranks_.size() * 64 < table_.size()) {
-    std::sort(ranks_.begin(), ranks_.end());
-  } else {
-    ranks_.clear();
-    for (std::size_t r = 0; r < table_.size(); ++r)
-      if (table_[r] >= 0) ranks_.push_back(static_cast<int>(r));
-  }
+  std::sort(ranks_.begin(), ranks_.end());
   for (std::size_t i = 0; i < ranks_.size(); ++i)
     table_[static_cast<std::size_t>(ranks_[i])] = static_cast<int>(i);
   // Move every entry to its rank's position; each swap places one entry

@@ -465,15 +465,15 @@ class Comm {
                               PartnerList& recvs,
                               std::vector<std::byte>& out) const;
 
-  /// Dense data exchange with KNOWN per-source receive sizes (from a reusable
-  /// redist::ExchangePlan): skips the counts transpose of alltoallv_bytes but
-  /// is charged the same dense fabric latency and contention for the data
-  /// movement. `out` must hold sum(recv_bytes); data lands grouped by source
-  /// rank, exactly like alltoallv_bytes.
-  void alltoallv_bytes_known(const void* in,
-                             const std::vector<std::size_t>& send_bytes,
-                             const std::vector<std::size_t>& recv_bytes,
-                             void* out) const;
+  /// Dense data exchange with KNOWN sizes (partner lists as in
+  /// sparse_alltoallv_bytes_known, from a reusable redist::ExchangePlan):
+  /// skips the counts transpose of alltoallv_bytes but is charged the same
+  /// dense fabric latency and contention for the data movement, which
+  /// depend only on the communicator size and the bytes sent. Like
+  /// alltoallv_bytes, it moves only the non-empty blocks, so the messages
+  /// go to and come from the listed partners only.
+  void alltoallv_bytes_known(const void* in, const PartnerList& sends,
+                             const PartnerList& recvs, void* out) const;
 
   /// Sparse exchange with KNOWN sizes: sends go straight to the partners of
   /// `sends` and receives come straight from the partners of `recvs` (byte
@@ -550,6 +550,14 @@ class Comm {
 
   /// Communicator rank of an engine (world) rank; O(log size).
   int comm_rank_of_world(int world) const;
+
+  /// Data movement of the known-sizes exchanges under `tag`: the self
+  /// block, one message per non-self partner of `sends`, one receive per
+  /// non-self partner of `recvs`, both in ascending rank. `op` names the
+  /// exchange in error messages.
+  void move_known(const void* in, const PartnerList& sends,
+                  const PartnerList& recvs, void* out, std::uint64_t tag,
+                  const char* op) const;
 
   Comm(std::shared_ptr<Group> group, int my_rank, sim::RankCtx* ctx)
       : group_(std::move(group)), my_rank_(my_rank), ctx_(ctx) {}
@@ -646,8 +654,9 @@ class PartnerIndex {
     list[static_cast<std::size_t>(e)].count += n;
   }
 
-  /// Sort `list` (built by add()) by rank and set its offsets to the packed
-  /// prefix sums; entry() then names the sorted positions.
+  /// Sort `list` (built by add()) by rank, in O(k log k) for k partners,
+  /// and set its offsets to the packed prefix sums; entry() then names the
+  /// sorted positions.
   void finish(PartnerList& list);
 
   /// Entry of an added rank in the finished list.

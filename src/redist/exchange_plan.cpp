@@ -91,14 +91,10 @@ void ExchangePlan::negotiate(const mpi::Comm& comm) {
 
 void ExchangePlan::run_known(const mpi::Comm& comm, const std::byte* packed,
                              std::byte* out) const {
-  if (kind_ == ExchangeKind::kDense) {
-    mpi::counts_from_partners(send_bytes_, nranks_, dense_send_bytes_);
-    mpi::counts_from_partners(recv_bytes_, nranks_, dense_recv_bytes_);
-    comm.alltoallv_bytes_known(packed, dense_send_bytes_, dense_recv_bytes_,
-                               out);
-  } else {
+  if (kind_ == ExchangeKind::kDense)
+    comm.alltoallv_bytes_known(packed, send_bytes_, recv_bytes_, out);
+  else
     comm.sparse_alltoallv_bytes_known(packed, send_bytes_, recv_bytes_, out);
-  }
 }
 
 std::size_t FusedBatch::pack_partner(const mpi::Partner& e, std::byte* dst,
@@ -178,9 +174,12 @@ void FusedBatch::execute() {
   mpi::PooledBuffer send_buf(comm.pool(), send_total, o);
   std::uint64_t sent_sum = 0;
   const bool validate = validation_enabled();
+  std::size_t pos = 0;
   for (std::size_t i = 0; i < plan.send_.size(); ++i)
-    pack_partner(plan.send_[i], send_buf.data() + plan.send_bytes_[i].offset,
-                 validate ? &sent_sum : nullptr);
+    pos += pack_partner(plan.send_[i],
+                        send_buf.data() + plan.send_bytes_[i].offset,
+                        validate ? &sent_sum : nullptr);
+  FCS_ASSERT(pos == send_total);
 
   mpi::PooledBuffer recv_buf(comm.pool(), recv_total, o);
   plan.run_known(comm, send_buf.data(), recv_buf.data());
@@ -195,9 +194,12 @@ void FusedBatch::execute() {
         segments_[s].resize_out(segments_[s].out_vec,
                                 n_recv * segments_[s].item_bytes);
   std::uint64_t recv_sum = 0;
+  pos = 0;
   for (std::size_t i = 0; i < plan.recv_.size(); ++i)
-    unpack_partner(plan.recv_[i], recv_buf.data() + plan.recv_bytes_[i].offset,
-                   out_ptr.data(), validate ? &recv_sum : nullptr);
+    pos += unpack_partner(plan.recv_[i],
+                          recv_buf.data() + plan.recv_bytes_[i].offset,
+                          out_ptr.data(), validate ? &recv_sum : nullptr);
+  FCS_ASSERT(pos == recv_total);
   if (validate)
     validate_exchange(comm, "fused_exchange",
                       plan.n_send_slots() * nseg, sent_sum, n_recv * nseg,

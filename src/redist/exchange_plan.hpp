@@ -26,8 +26,9 @@
 // Send and receive schedules are rank-ascending partner lists
 // (mpi::PartnerList): (rank, first slot, slots) per active partner, so
 // building, negotiating and applying a plan costs O(items + partners), not
-// O(communicator size). Only a dense plan expands its lists into one
-// plan-owned count per rank, for the MPI_Alltoallv-shaped dense exchange.
+// O(communicator size). Only a dense plan's first exchange and negotiate()
+// expand them into one count per rank, for the MPI_Alltoallv-shaped counts
+// transpose.
 //
 // Staging buffers come from the communicator's BufferPool, so after warm-up
 // the exchange path allocates no staging memory ("pool.alloc" stays flat).
@@ -78,7 +79,8 @@ class ExchangePlan {
   /// build() in place: the plan's storage is reused, so a plan rebuilt
   /// every step stops allocating once it has seen its largest step.
   /// Destinations are counted per active partner (mpi::PartnerIndex), so
-  /// the cost is O(items + partners), independent of the communicator size.
+  /// the cost is O(items + k log k) for k partners, independent of the
+  /// communicator size.
   template <class DistFn>
   void assign(const mpi::Comm& comm, std::size_t n_items, DistFn&& dist,
               ExchangeKind kind) {
@@ -167,10 +169,13 @@ class ExchangePlan {
     scale_partners(send_, sizeof(T), send_bytes_);
     std::vector<std::byte> raw;
     if (kind_ == ExchangeKind::kDense) {
-      mpi::counts_from_partners(send_bytes_, nranks_, dense_send_bytes_);
-      raw = comm.alltoallv_bytes(packed.data(), dense_send_bytes_,
-                                 dense_recv_bytes_);
-      mpi::partners_from_counts(dense_recv_bytes_, recv_bytes_);
+      // The counts transpose of alltoallv_bytes is MPI_Alltoallv-shaped:
+      // one count per rank each way, for this one call.
+      std::vector<std::size_t> send_counts;
+      std::vector<std::size_t> recv_counts;
+      mpi::counts_from_partners(send_bytes_, nranks_, send_counts);
+      raw = comm.alltoallv_bytes(packed.data(), send_counts, recv_counts);
+      mpi::partners_from_counts(recv_counts, recv_bytes_);
     } else {
       comm.sparse_alltoallv_bytes(packed.data(), send_bytes_, recv_bytes_,
                                   raw);
@@ -256,7 +261,7 @@ class ExchangePlan {
   void finish_recv();
 
   /// The known-counts data exchange on the byte schedules send_bytes_ and
-  /// recv_bytes_ (dense plans expand them to one count per rank first).
+  /// recv_bytes_.
   void run_known(const mpi::Comm& comm, const std::byte* packed,
                  std::byte* out) const;
 
@@ -268,13 +273,9 @@ class ExchangePlan {
   mpi::PartnerList recv_;  // in slots
   std::size_t n_recv_ = 0;
   bool counts_known_ = false;
-  // Byte schedules reused across applies (mutable: caching only), and the
-  // one-count-per-rank expansion only dense plans need, because the dense
-  // exchange keeps MPI_Alltoallv's interface.
+  // Byte schedules reused across applies (mutable: caching only).
   mutable mpi::PartnerList send_bytes_;
   mutable mpi::PartnerList recv_bytes_;
-  mutable std::vector<std::size_t> dense_send_bytes_;
-  mutable std::vector<std::size_t> dense_recv_bytes_;
 };
 
 /// Fuses several typed payloads over one ExchangePlan into a single

@@ -84,16 +84,6 @@ void invert_origin_indices(const mpi::Comm& comm,
                            std::size_t n_original, ExchangeKind kind,
                            std::vector<std::uint64_t>& resort_indices);
 
-/// invert_origin_indices into a new vector.
-inline std::vector<std::uint64_t> invert_origin_indices(
-    const mpi::Comm& comm, const std::vector<std::uint64_t>& origin_of_current,
-    std::size_t n_original, ExchangeKind kind) {
-  std::vector<std::uint64_t> resort_indices;
-  invert_origin_indices(comm, origin_of_current, n_original, kind,
-                        resort_indices);
-  return resort_indices;
-}
-
 /// Reusable method-B resort schedule, built once per fcs_run with ZERO
 /// communication: the send side comes straight from the resort indices
 /// (target rank of every original particle), the receive side from the

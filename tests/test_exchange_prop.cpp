@@ -350,8 +350,9 @@ TEST_P(ResortProp, ResortIndicesStayInversePermutationUnderGhosts) {
     for (const P& pt : received)
       if (owner_of(pt.origin) == r) origin_of_current.push_back(pt.origin);
 
-    const std::vector<std::uint64_t> resort_indices =
-        redist::invert_origin_indices(c, origin_of_current, n, kind);
+    std::vector<std::uint64_t> resort_indices;
+    redist::invert_origin_indices(c, origin_of_current, n, kind,
+                                  resort_indices);
     redist::ResortPlan rp;
     rp.build(c, resort_indices, origin_of_current, kind);
     ASSERT_TRUE(rp.valid());

@@ -1,9 +1,9 @@
 // Partner-list exchange schedules (DESIGN.md, "Exchange schedules as
 // partner lists").
 //
-// Differential tests: the sparse, known-sizes, async and neighbourhood
-// exchanges and the ExchangePlan / FusedBatch schedules take rank-sorted
-// partner lists; namespace ref below keeps the one-entry-per-rank
+// Differential tests: the sparse, dense and sparse known-sizes, async and
+// neighbourhood exchanges and the ExchangePlan / FusedBatch schedules take
+// rank-sorted partner lists; namespace ref below keeps the one-entry-per-rank
 // implementations they replaced, copied verbatim except where a private
 // minimpi member had to be reached through the public API (collective tags
 // are drawn from a local sequence, and the async known-sizes exchange is a
@@ -206,6 +206,67 @@ void sparse_alltoallv_bytes_known(const mpi::Comm& comm, const void* in,
         ctx_->recv(comm.world_rank(i), static_cast<std::int64_t>(tag));
     FCS_CHECK(info.payload.size() == recv_bytes[static_cast<std::size_t>(i)],
               "sparse_alltoallv_known data size mismatch from rank " << i);
+    std::memcpy(as_bytes(out) + recv_offsets[static_cast<std::size_t>(i)],
+                info.payload.data(), info.payload.size());
+  }
+}
+
+void alltoallv_bytes_known(const mpi::Comm& comm, const void* in,
+                           const std::vector<std::size_t>& send_bytes,
+                           const std::vector<std::size_t>& recv_bytes,
+                           void* out) {
+  sim::RankCtx* const ctx_ = &comm.ctx();
+  obs::Span span(ctx_->obs(), "mpi.alltoallv_known");
+  obs::count(ctx_->obs(), "mpi.alltoallv_known.calls", 1.0);
+  const int p = comm.size();
+  const int r = comm.rank();
+  FCS_CHECK(static_cast<int>(send_bytes.size()) == p &&
+                static_cast<int>(recv_bytes.size()) == p,
+            "alltoallv_known needs one send and one recv size per rank");
+  const std::uint64_t tag = next_tag(comm);
+
+  // Same fabric model as the data phase of alltoallv_bytes: the dense
+  // exchange touches every pair and contends for the bisection; only the
+  // counts transpose is gone because both sides already know the sizes.
+  std::size_t total_send = 0;
+  for (int i = 0; i < p; ++i)
+    if (i != r) total_send += send_bytes[static_cast<std::size_t>(i)];
+  obs::count(ctx_->obs(), "mpi.alltoallv_known.bytes",
+             static_cast<double>(total_send));
+  ctx_->advance(
+      ctx_->config().network->dense_exchange_latency(ctx_->rank(), p) +
+      static_cast<double>(total_send) *
+          ctx_->config().network->dense_exchange_byte_time(p));
+
+  std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);
+  std::vector<std::size_t> recv_offsets(static_cast<std::size_t>(p) + 1, 0);
+  for (int i = 0; i < p; ++i) {
+    send_offsets[static_cast<std::size_t>(i) + 1] =
+        send_offsets[static_cast<std::size_t>(i)] + send_bytes[static_cast<std::size_t>(i)];
+    recv_offsets[static_cast<std::size_t>(i) + 1] =
+        recv_offsets[static_cast<std::size_t>(i)] + recv_bytes[static_cast<std::size_t>(i)];
+  }
+  FCS_CHECK(send_bytes[static_cast<std::size_t>(r)] ==
+                recv_bytes[static_cast<std::size_t>(r)],
+            "alltoallv_known: self send/recv size mismatch");
+
+  if (send_bytes[static_cast<std::size_t>(r)] > 0)
+    std::memcpy(as_bytes(out) + recv_offsets[static_cast<std::size_t>(r)],
+                as_bytes(in) + send_offsets[static_cast<std::size_t>(r)],
+                send_bytes[static_cast<std::size_t>(r)]);
+
+  for (int i = 0; i < p; ++i) {
+    if (i == r || send_bytes[static_cast<std::size_t>(i)] == 0) continue;
+    ctx_->send(comm.world_rank(i), tag,
+               as_bytes(in) + send_offsets[static_cast<std::size_t>(i)],
+               send_bytes[static_cast<std::size_t>(i)]);
+  }
+  for (int i = 0; i < p; ++i) {
+    if (i == r || recv_bytes[static_cast<std::size_t>(i)] == 0) continue;
+    sim::RankCtx::RecvInfo info =
+        ctx_->recv(comm.world_rank(i), static_cast<std::int64_t>(tag));
+    FCS_CHECK(info.payload.size() == recv_bytes[static_cast<std::size_t>(i)],
+              "alltoallv_known data size mismatch from rank " << i);
     std::memcpy(as_bytes(out) + recv_offsets[static_cast<std::size_t>(i)],
                 info.payload.data(), info.payload.size());
   }
@@ -579,7 +640,7 @@ class ExchangePlan {
   void run_known(const mpi::Comm& comm, const std::byte* packed,
                  std::byte* out) const {
     if (kind_ == ExchangeKind::kDense)
-      comm.alltoallv_bytes_known(packed, send_bytes_scratch_,
+      ref::alltoallv_bytes_known(comm, packed, send_bytes_scratch_,
                                  recv_bytes_scratch_, out);
     else
       ref::sparse_alltoallv_bytes_known(comm, packed, send_bytes_scratch_,
@@ -685,7 +746,8 @@ class FusedBatch {
 
     mpi::PooledBuffer recv_buf(comm.pool(), recv_total, o);
     if (plan.kind_ == ExchangeKind::kDense)
-      comm.alltoallv_bytes_known(send_buf.data(), plan.send_bytes_scratch_,
+      ref::alltoallv_bytes_known(comm, send_buf.data(),
+                                 plan.send_bytes_scratch_,
                                  plan.recv_bytes_scratch_, recv_buf.data());
     else
       ref::sparse_alltoallv_bytes_known(comm, send_buf.data(),
@@ -1366,6 +1428,41 @@ TEST(PartnerLists, PartnerIndexBuildsAscendingPackedList) {
     fresh.add(5, 1, list);
     fresh.add(7, 1, list);
     same(list, {{5, 0, 1}, {7, 0, 1}});
+  });
+}
+
+TEST(PartnerLists, SecondLiveIndexOnOneCommunicatorIsRejected) {
+  sim::EngineConfig cfg;
+  cfg.nranks = 2;
+  sim::run_spmd(cfg, [](sim::RankCtx& ctx) {
+    const mpi::Comm c = mpi::Comm::world(ctx);
+    const mpi::Comm d = c.dup();
+    {
+      mpi::PartnerIndex first(c);
+      try {
+        mpi::PartnerIndex second(c);
+        ADD_FAILURE() << "second live index accepted";
+      } catch (const fcs::Error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "another index of this communicator is live"),
+                  std::string::npos)
+            << e.what();
+      }
+      // Another communicator has its own table.
+      mpi::PartnerIndex other(d);
+      mpi::PartnerList list;
+      other.add(1, 2, list);
+      other.finish(list);
+      ASSERT_EQ(list.size(), 1u);
+      EXPECT_EQ(list[0].count, 2u);
+    }
+    // The rejected constructor left the first index intact, and its
+    // destructor released the communicator.
+    mpi::PartnerIndex again(c);
+    mpi::PartnerList list;
+    again.add(0, 1, list);
+    again.finish(list);
+    EXPECT_EQ(list.size(), 1u);
   });
 }
 

@@ -142,7 +142,8 @@ TEST_P(Redist, InvertOriginIndicesPointsAtCurrentLocation) {
     std::vector<std::uint64_t> origin_of_current(scattered.size());
     for (std::size_t i = 0; i < scattered.size(); ++i)
       origin_of_current[i] = scattered[i].origin;
-    auto resort = redist::invert_origin_indices(c, origin_of_current, n, kind);
+    std::vector<std::uint64_t> resort;
+    redist::invert_origin_indices(c, origin_of_current, n, kind, resort);
     ASSERT_EQ(resort.size(), n);
 
     // Verify: following resort[i] from the origin must land on a particle
@@ -187,7 +188,8 @@ TEST_P(Redist, ResortValuesFollowsParticles) {
     std::vector<std::uint64_t> origin_of_current(scattered.size());
     for (std::size_t i = 0; i < scattered.size(); ++i)
       origin_of_current[i] = scattered[i].origin;
-    auto resort = redist::invert_origin_indices(c, origin_of_current, n, kind);
+    std::vector<std::uint64_t> resort;
+    redist::invert_origin_indices(c, origin_of_current, n, kind, resort);
 
     // Additional data: 3 components derived from the origin index.
     std::vector<double> velocity(3 * n);
@@ -266,9 +268,10 @@ TEST(RedistErrors, InvertRejectsDuplicateOriginPosition) {
             c.rank() == 0 ? std::vector<std::uint64_t>{redist::make_index(0, 0),
                                                        redist::make_index(0, 0)}
                           : std::vector<std::uint64_t>{};
+        std::vector<std::uint64_t> resort;
         redist::invert_origin_indices(c, origin_of_current,
                                       c.rank() == 0 ? 2 : 0,
-                                      ExchangeKind::kDense);
+                                      ExchangeKind::kDense, resort);
       },
       "duplicate origin position");
 }
@@ -282,9 +285,10 @@ TEST(RedistErrors, InvertRejectsOutOfRangeOriginPosition) {
         std::vector<std::uint64_t> origin_of_current =
             c.rank() == 0 ? std::vector<std::uint64_t>{redist::make_index(0, 7)}
                           : std::vector<std::uint64_t>{};
+        std::vector<std::uint64_t> resort;
         redist::invert_origin_indices(c, origin_of_current,
                                       c.rank() == 0 ? 1 : 0,
-                                      ExchangeKind::kDense);
+                                      ExchangeKind::kDense, resort);
       },
       "origin position out of range");
 }
@@ -297,9 +301,10 @@ TEST(RedistErrors, InvertRejectsCountMismatch) {
         std::vector<std::uint64_t> origin_of_current =
             c.rank() == 0 ? std::vector<std::uint64_t>{redist::make_index(0, 0)}
                           : std::vector<std::uint64_t>{};
+        std::vector<std::uint64_t> resort;
         redist::invert_origin_indices(c, origin_of_current,
                                       c.rank() == 0 ? 3 : 0,
-                                      ExchangeKind::kDense);
+                                      ExchangeKind::kDense, resort);
       },
       "expected 3 indices");
 }
@@ -366,6 +371,32 @@ TEST(Neighborhood, RejectsInvalidNeighborRank) {
         redist::neighborhood_alltoallv(c, neighbors, data.data(), {}, recvs);
       },
       "invalid neighbor rank");
+}
+
+TEST(Neighborhood, RejectsUnsortedOrDuplicateNeighborList) {
+  // Sends are matched to neighbours by one merge walk, so the neighbour list
+  // must be strictly ascending like a partner list.
+  expect_error_containing(
+      4,
+      [](mpi::Comm& c) {
+        std::vector<int> neighbors;  // the other ranks, descending
+        for (int n = 3; n >= 0; --n)
+          if (n != c.rank()) neighbors.push_back(n);
+        std::vector<int> data;
+        mpi::PartnerList recvs;
+        redist::neighborhood_alltoallv(c, neighbors, data.data(), {}, recvs);
+      },
+      "neighbor list must be ascending");
+  expect_error_containing(
+      4,
+      [](mpi::Comm& c) {
+        const int next = (c.rank() + 1) % 4;
+        std::vector<int> neighbors = {next, next};
+        std::vector<int> data;
+        mpi::PartnerList recvs;
+        redist::neighborhood_alltoallv(c, neighbors, data.data(), {}, recvs);
+      },
+      "neighbor list must be ascending");
 }
 
 TEST(Neighborhood, NonNeighborMessageNamesTheRank) {
@@ -568,7 +599,8 @@ TEST_P(ExtremeSkew, AllToOneRankAndEmptySendersResort) {
     std::vector<std::uint64_t> origin_of_current(scattered.size());
     for (std::size_t i = 0; i < scattered.size(); ++i)
       origin_of_current[i] = scattered[i].origin;
-    auto resort = redist::invert_origin_indices(c, origin_of_current, n, kind);
+    std::vector<std::uint64_t> resort;
+    redist::invert_origin_indices(c, origin_of_current, n, kind, resort);
     ASSERT_EQ(resort.size(), n);
 
     std::vector<double> payload(n);

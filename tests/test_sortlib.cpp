@@ -746,8 +746,9 @@ void expect_resort_roundtrip(mpi::Comm& c, const std::vector<Rec>& after,
   std::vector<std::uint64_t> origin_of_current(after.size());
   for (std::size_t i = 0; i < after.size(); ++i)
     origin_of_current[i] = after[i].payload;
-  const auto resort = redist::invert_origin_indices(
-      c, origin_of_current, n_original, redist::ExchangeKind::kSparse);
+  std::vector<std::uint64_t> resort;
+  redist::invert_origin_indices(c, origin_of_current, n_original,
+                                redist::ExchangeKind::kSparse, resort);
   ASSERT_EQ(resort.size(), n_original);
   std::vector<std::int64_t> tags(n_original);
   for (std::size_t i = 0; i < n_original; ++i)

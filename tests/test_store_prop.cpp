@@ -216,8 +216,8 @@ TEST_P(StoreProp, CarriedExchangeMatchesPerFieldPlanBitwise) {
     if (nr > 0)
       std::memcpy(recv_origin.data(), out_items.data(),
                   nr * sizeof(std::uint64_t));
-    const std::vector<std::uint64_t> resort_indices =
-        redist::invert_origin_indices(c, recv_origin, n, kind);
+    std::vector<std::uint64_t> resort_indices;
+    redist::invert_origin_indices(c, recv_origin, n, kind, resort_indices);
     ASSERT_EQ(resort_indices.size(), n);
     redist::ResortPlan rp;
     rp.build(c, resort_indices, recv_origin, kind);
